@@ -3,69 +3,13 @@
 #include <algorithm>
 #include <cstring>
 
-namespace d16sim::assem
-{
+#include "support/bytes.hh"
 
-namespace
+namespace d16sim::assem
 {
 
 constexpr char kImageMagic[4] = {'D', '1', '6', 'I'};
 constexpr uint32_t kImageVersion = 1;
-
-void
-putU32(std::vector<uint8_t> &out, uint32_t v)
-{
-    out.push_back(static_cast<uint8_t>(v));
-    out.push_back(static_cast<uint8_t>(v >> 8));
-    out.push_back(static_cast<uint8_t>(v >> 16));
-    out.push_back(static_cast<uint8_t>(v >> 24));
-}
-
-void
-putString(std::vector<uint8_t> &out, const std::string &s)
-{
-    putU32(out, static_cast<uint32_t>(s.size()));
-    out.insert(out.end(), s.begin(), s.end());
-}
-
-/** Bounds-checked little-endian reader over the serialized bytes. */
-struct Reader
-{
-    const std::vector<uint8_t> &bytes;
-    size_t pos = 0;
-
-    void
-    need(size_t n) const
-    {
-        if (bytes.size() - pos < n)
-            fatal("image deserialize: truncated at offset ", pos);
-    }
-
-    uint32_t
-    u32()
-    {
-        need(4);
-        const uint32_t v = static_cast<uint32_t>(bytes[pos]) |
-                           static_cast<uint32_t>(bytes[pos + 1]) << 8 |
-                           static_cast<uint32_t>(bytes[pos + 2]) << 16 |
-                           static_cast<uint32_t>(bytes[pos + 3]) << 24;
-        pos += 4;
-        return v;
-    }
-
-    std::string
-    string()
-    {
-        const uint32_t len = u32();
-        need(len);
-        std::string s(bytes.begin() + static_cast<ptrdiff_t>(pos),
-                      bytes.begin() + static_cast<ptrdiff_t>(pos + len));
-        pos += len;
-        return s;
-    }
-};
-
-} // namespace
 
 std::vector<std::pair<uint32_t, std::string>>
 Image::textSymbols() const
@@ -82,42 +26,42 @@ Image::textSymbols() const
 std::vector<uint8_t>
 Image::serialize() const
 {
-    std::vector<uint8_t> out;
-    out.reserve(64 + bytes.size() + 16 * symbols.size() +
-                8 * insnSites.size());
-    out.insert(out.end(), kImageMagic, kImageMagic + 4);
-    putU32(out, kImageVersion);
-    putU32(out, static_cast<uint32_t>(target->kind()));
-    putU32(out, textBase);
-    putU32(out, textSize);
-    putU32(out, dataBase);
-    putU32(out, dataSize);
-    putU32(out, bssSize);
-    putU32(out, entry);
-    putU32(out, textInsns);
-    putU32(out, static_cast<uint32_t>(bytes.size()));
-    out.insert(out.end(), bytes.begin(), bytes.end());
-    putU32(out, static_cast<uint32_t>(symbols.size()));
+    std::vector<uint8_t> wire;
+    wire.reserve(64 + bytes.size() + 16 * symbols.size() +
+                 8 * insnSites.size());
+    ByteWriter out(wire);
+    out.bytes(kImageMagic, 4);
+    out.u32(kImageVersion);
+    out.u32(static_cast<uint32_t>(target->kind()));
+    out.u32(textBase);
+    out.u32(textSize);
+    out.u32(dataBase);
+    out.u32(dataSize);
+    out.u32(bssSize);
+    out.u32(entry);
+    out.u32(textInsns);
+    out.u32(static_cast<uint32_t>(bytes.size()));
+    out.bytes(bytes.data(), bytes.size());
+    out.u32(static_cast<uint32_t>(symbols.size()));
     for (const auto &[name, addr] : symbols) { // map order: canonical
-        putString(out, name);
-        putU32(out, addr);
+        out.u32(static_cast<uint32_t>(name.size()));
+        out.bytes(name.data(), name.size());
+        out.u32(addr);
     }
-    putU32(out, static_cast<uint32_t>(insnSites.size()));
+    out.u32(static_cast<uint32_t>(insnSites.size()));
     for (const InsnSite &site : insnSites) {
-        putU32(out, site.addr);
-        putU32(out, static_cast<uint32_t>(site.line));
+        out.u32(site.addr);
+        out.u32(static_cast<uint32_t>(site.line));
     }
-    return out;
+    return wire;
 }
 
 Image
 Image::deserialize(const std::vector<uint8_t> &data)
 {
-    Reader r{data};
-    r.need(4);
-    if (std::memcmp(data.data(), kImageMagic, 4) != 0)
+    ByteReader r(data, "image deserialize");
+    if (std::memcmp(r.take(4), kImageMagic, 4) != 0)
         fatal("image deserialize: bad magic");
-    r.pos += 4;
     const uint32_t version = r.u32();
     if (version != kImageVersion)
         fatal("image deserialize: version ", version, ", want ",
@@ -137,30 +81,31 @@ Image::deserialize(const std::vector<uint8_t> &data)
     img.textInsns = r.u32();
 
     const uint32_t byteCount = r.u32();
-    r.need(byteCount);
-    img.bytes.assign(data.begin() + static_cast<ptrdiff_t>(r.pos),
-                     data.begin() +
-                         static_cast<ptrdiff_t>(r.pos + byteCount));
-    r.pos += byteCount;
+    const uint8_t *text = r.take(byteCount);
+    img.bytes.assign(text, text + byteCount);
 
-    const uint32_t symbolCount = r.u32();
-    for (uint32_t i = 0; i < symbolCount; ++i) {
-        std::string name = r.string();
+    // A symbol is at least its length word and its address.
+    const uint64_t symbolCount = r.count(r.u32(), 8);
+    for (uint64_t i = 0; i < symbolCount; ++i) {
+        std::string name = r.str(r.u32());
         const uint32_t addr = r.u32();
-        img.symbols.emplace(std::move(name), addr);
+        // Names are written in map order; anything else would not
+        // re-serialize to the same bytes.
+        if (!img.symbols.empty() && !(img.symbols.rbegin()->first < name))
+            fatal("image deserialize: symbol '", name,
+                  "' out of order or duplicated");
+        img.symbols.emplace_hint(img.symbols.end(), std::move(name), addr);
     }
 
-    const uint32_t siteCount = r.u32();
-    img.insnSites.reserve(siteCount);
-    for (uint32_t i = 0; i < siteCount; ++i) {
+    const uint64_t siteCount = r.count(r.u32(), 8);
+    img.insnSites.reserve(static_cast<size_t>(siteCount));
+    for (uint64_t i = 0; i < siteCount; ++i) {
         InsnSite site;
         site.addr = r.u32();
         site.line = static_cast<int>(r.u32());
         img.insnSites.push_back(site);
     }
-    if (r.pos != data.size())
-        fatal("image deserialize: ", data.size() - r.pos,
-              " trailing bytes");
+    r.finish();
     return img;
 }
 

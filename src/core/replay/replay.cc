@@ -95,10 +95,6 @@ branchStatsFor(const Trace &trace, const sim::UarchConfig &uarch)
         return out;
     }
 
-    if (!trace.hasOutcomes)
-        fatal("replay: trace has no branch-outcome stream (format v2); "
-              "re-capture it to replay predictor policies");
-
     const uint64_t penalty =
         static_cast<uint64_t>(uarch.mispredictPenalty());
     if (uarch.branch == BranchPolicy::StaticNotTaken) {

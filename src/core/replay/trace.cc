@@ -2,96 +2,15 @@
 
 #include <fstream>
 
+#include "support/bytes.hh"
 #include "support/error.hh"
 
 namespace d16sim::core::replay
 {
 
-namespace
-{
-
 constexpr uint32_t HeaderMagic = 0x54363144;  // "D16T" little-endian
 constexpr uint32_t TrailerMagic = 0x44363154; // "T16D" little-endian
-// v2 added branchBubbles; v3 added the capture-uarch tag, the
-// branch-policy statistics and the branch-outcome stream. v2 still
-// deserializes (hasOutcomes == false).
 constexpr uint32_t FormatVersion = 3;
-constexpr uint32_t LegacyVersion = 2;
-
-void
-put32(std::vector<uint8_t> &out, uint32_t v)
-{
-    out.push_back(static_cast<uint8_t>(v));
-    out.push_back(static_cast<uint8_t>(v >> 8));
-    out.push_back(static_cast<uint8_t>(v >> 16));
-    out.push_back(static_cast<uint8_t>(v >> 24));
-}
-
-void
-put64(std::vector<uint8_t> &out, uint64_t v)
-{
-    put32(out, static_cast<uint32_t>(v));
-    put32(out, static_cast<uint32_t>(v >> 32));
-}
-
-/** Bounds-checked little-endian reader over the serialized bytes. */
-class Reader
-{
-  public:
-    explicit Reader(const std::vector<uint8_t> &bytes) : bytes_(bytes) {}
-
-    uint8_t
-    u8()
-    {
-        need(1);
-        return bytes_[pos_++];
-    }
-
-    uint32_t
-    u32()
-    {
-        need(4);
-        const uint32_t v = static_cast<uint32_t>(bytes_[pos_]) |
-                           (static_cast<uint32_t>(bytes_[pos_ + 1]) << 8) |
-                           (static_cast<uint32_t>(bytes_[pos_ + 2]) << 16) |
-                           (static_cast<uint32_t>(bytes_[pos_ + 3]) << 24);
-        pos_ += 4;
-        return v;
-    }
-
-    uint64_t
-    u64()
-    {
-        const uint64_t lo = u32();
-        return lo | (static_cast<uint64_t>(u32()) << 32);
-    }
-
-    std::string
-    str(uint64_t len)
-    {
-        need(len);
-        std::string s(reinterpret_cast<const char *>(bytes_.data() + pos_),
-                      static_cast<size_t>(len));
-        pos_ += static_cast<size_t>(len);
-        return s;
-    }
-
-    size_t remaining() const { return bytes_.size() - pos_; }
-
-  private:
-    void
-    need(uint64_t n)
-    {
-        if (n > remaining())
-            fatal("trace: truncated (need ", n, " bytes at offset ", pos_,
-                  ", have ", remaining(), ")");
-    }
-
-    const std::vector<uint8_t> &bytes_;
-    size_t pos_ = 0;
-};
-
-} // namespace
 
 uint64_t
 Trace::fetchCount() const
@@ -103,128 +22,93 @@ Trace::fetchCount() const
 }
 
 std::vector<uint8_t>
-Trace::serialize(bool legacyV2) const
+Trace::serialize() const
 {
-    std::vector<uint8_t> out;
-    out.reserve(128 + base.output.size() + runs.size() * 8 +
-                accesses.size() * 5 + outcomes.size() * 4);
+    std::vector<uint8_t> bytes;
+    bytes.reserve(128 + base.output.size() + runs.size() * 8 +
+                  accesses.size() * 5 + outcomes.size() * 4);
+    ByteWriter out(bytes);
 
-    put32(out, HeaderMagic);
-    put32(out, legacyV2 ? LegacyVersion : FormatVersion);
-    put32(out, insnBytes);
-    put32(out, 0);  // reserved
-    if (!legacyV2) {
-        // Capture-uarch tag: the slice of the microarchitecture that
-        // shaped the recorded streams (sim/uarch.hh).
-        out.push_back(capturedUarch.forward ? 1 : 0);
-        out.push_back(static_cast<uint8_t>(capturedUarch.branch));
-        out.push_back(static_cast<uint8_t>(capturedUarch.bhtLog2));
-        out.push_back(static_cast<uint8_t>(capturedUarch.depth));
-    }
+    out.u32(HeaderMagic);
+    out.u32(FormatVersion);
+    out.u32(insnBytes);
+    out.u32(0);  // reserved
+    // Capture-uarch tag: the slice of the microarchitecture that
+    // shaped the recorded streams (sim/uarch.hh).
+    out.u8(capturedUarch.forward ? 1 : 0);
+    out.u8(static_cast<uint8_t>(capturedUarch.branch));
+    out.u8(static_cast<uint8_t>(capturedUarch.bhtLog2));
+    out.u8(static_cast<uint8_t>(capturedUarch.depth));
 
-    put32(out, static_cast<uint32_t>(base.exitStatus));
-    put32(out, base.sizeBytes);
-    put32(out, base.textBytes);
-    put32(out, base.textInsns);
-    put64(out, base.stats.instructions);
-    put64(out, base.stats.loads);
-    put64(out, base.stats.stores);
-    put64(out, base.stats.loadInterlocks);
-    put64(out, base.stats.fpInterlocks);
-    put64(out, base.stats.branches);
-    put64(out, base.stats.takenBranches);
-    put64(out, base.stats.fpOps);
-    put64(out, base.stats.traps);
-    put64(out, base.stats.branchBubbles);
-    if (!legacyV2) {
-        put64(out, base.stats.condBranches);
-        put64(out, base.stats.branchStalls);
-        put64(out, base.stats.mispredicts);
-        put64(out, base.stats.fwdSavedStalls);
-    }
-    put64(out, base.output.size());
-    out.insert(out.end(), base.output.begin(), base.output.end());
+    out.u32(static_cast<uint32_t>(base.exitStatus));
+    out.u32(base.sizeBytes);
+    out.u32(base.textBytes);
+    out.u32(base.textInsns);
+    for (const auto &field : sim::kStatFields)
+        out.u64(base.stats.*field.member);
+    out.u64(base.output.size());
+    out.bytes(base.output.data(), base.output.size());
 
-    put64(out, runs.size());
+    out.u64(runs.size());
     for (const FetchRun &r : runs) {
-        put32(out, r.startPc);
-        put32(out, r.count);
+        out.u32(r.startPc);
+        out.u32(r.count);
     }
 
-    put64(out, accesses.size());
+    out.u64(accesses.size());
     for (const DataAccess &a : accesses) {
-        put32(out, a.addr);
-        out.push_back(static_cast<uint8_t>(a.size |
-                                           (a.write ? 0x80u : 0u)));
+        out.u32(a.addr);
+        out.u8(static_cast<uint8_t>(a.size | (a.write ? 0x80u : 0u)));
     }
 
-    if (!legacyV2) {
-        // Outcome entries pack the taken bit into pc bit 0, which is
-        // always clear for 2- and 4-byte instruction sites.
-        put64(out, outcomes.size());
-        for (const BranchOutcome &o : outcomes)
-            put32(out, o.pc | (o.taken ? 1u : 0u));
-    }
+    // Outcome entries pack the taken bit into pc bit 0, which is
+    // always clear for 2- and 4-byte instruction sites.
+    out.u64(outcomes.size());
+    for (const BranchOutcome &o : outcomes)
+        out.u32(o.pc | (o.taken ? 1u : 0u));
 
-    put32(out, TrailerMagic);
-    return out;
+    out.u32(TrailerMagic);
+    return bytes;
 }
 
 Trace
 Trace::deserialize(const std::vector<uint8_t> &bytes)
 {
-    Reader in(bytes);
+    ByteReader in(bytes, "trace");
     if (in.u32() != HeaderMagic)
         fatal("trace: bad magic (not a D16T trace)");
     const uint32_t version = in.u32();
-    if (version != FormatVersion && version != LegacyVersion)
+    if (version != FormatVersion)
         fatal("trace: unsupported format version ", version);
-    const bool v3 = version == FormatVersion;
 
     Trace t;
-    t.hasOutcomes = v3;
     t.insnBytes = in.u32();
     if (t.insnBytes != 2 && t.insnBytes != 4)
         fatal("trace: bad instruction width ", t.insnBytes);
     if (in.u32() != 0)
         fatal("trace: reserved header field is not zero");
-    if (v3) {
-        t.capturedUarch.forward = in.u8() != 0;
-        const uint8_t bp = in.u8();
-        if (bp > 2)
-            fatal("trace: bad branch-policy tag ", int{bp});
-        t.capturedUarch.branch = static_cast<sim::BranchPolicy>(bp);
-        t.capturedUarch.bhtLog2 = in.u8();
-        t.capturedUarch.depth = in.u8();
-        if (t.capturedUarch.depth < 5 || t.capturedUarch.depth > 7)
-            fatal("trace: bad pipeline depth ", t.capturedUarch.depth);
-    }
+    const uint8_t forward = in.u8();
+    if (forward > 1)
+        fatal("trace: bad forwarding flag ", int{forward});
+    t.capturedUarch.forward = forward != 0;
+    const uint8_t bp = in.u8();
+    if (bp > 2)
+        fatal("trace: bad branch-policy tag ", int{bp});
+    t.capturedUarch.branch = static_cast<sim::BranchPolicy>(bp);
+    t.capturedUarch.bhtLog2 = in.u8();
+    t.capturedUarch.depth = in.u8();
+    if (t.capturedUarch.depth < 5 || t.capturedUarch.depth > 7)
+        fatal("trace: bad pipeline depth ", t.capturedUarch.depth);
 
     t.base.exitStatus = static_cast<int>(in.u32());
     t.base.sizeBytes = in.u32();
     t.base.textBytes = in.u32();
     t.base.textInsns = in.u32();
-    t.base.stats.instructions = in.u64();
-    t.base.stats.loads = in.u64();
-    t.base.stats.stores = in.u64();
-    t.base.stats.loadInterlocks = in.u64();
-    t.base.stats.fpInterlocks = in.u64();
-    t.base.stats.branches = in.u64();
-    t.base.stats.takenBranches = in.u64();
-    t.base.stats.fpOps = in.u64();
-    t.base.stats.traps = in.u64();
-    t.base.stats.branchBubbles = in.u64();
-    if (v3) {
-        t.base.stats.condBranches = in.u64();
-        t.base.stats.branchStalls = in.u64();
-        t.base.stats.mispredicts = in.u64();
-        t.base.stats.fwdSavedStalls = in.u64();
-    }
+    for (const auto &field : sim::kStatFields)
+        t.base.stats.*field.member = in.u64();
     t.base.output = in.str(in.u64());
 
-    const uint64_t runCount = in.u64();
-    if (runCount * 8 > in.remaining())
-        fatal("trace: truncated fetch-run table");
+    const uint64_t runCount = in.count(in.u64(), 8);
     t.runs.reserve(static_cast<size_t>(runCount));
     for (uint64_t i = 0; i < runCount; ++i) {
         FetchRun r;
@@ -235,9 +119,7 @@ Trace::deserialize(const std::vector<uint8_t> &bytes)
         t.runs.push_back(r);
     }
 
-    const uint64_t accessCount = in.u64();
-    if (accessCount * 5 > in.remaining())
-        fatal("trace: truncated data-access table");
+    const uint64_t accessCount = in.count(in.u64(), 5);
     t.accesses.reserve(static_cast<size_t>(accessCount));
     for (uint64_t i = 0; i < accessCount; ++i) {
         DataAccess a;
@@ -250,21 +132,16 @@ Trace::deserialize(const std::vector<uint8_t> &bytes)
         t.accesses.push_back(a);
     }
 
-    if (v3) {
-        const uint64_t outcomeCount = in.u64();
-        if (outcomeCount * 4 > in.remaining())
-            fatal("trace: truncated branch-outcome table");
-        t.outcomes.reserve(static_cast<size_t>(outcomeCount));
-        for (uint64_t i = 0; i < outcomeCount; ++i) {
-            const uint32_t v = in.u32();
-            t.outcomes.push_back({v & ~1u, (v & 1u) != 0});
-        }
+    const uint64_t outcomeCount = in.count(in.u64(), 4);
+    t.outcomes.reserve(static_cast<size_t>(outcomeCount));
+    for (uint64_t i = 0; i < outcomeCount; ++i) {
+        const uint32_t v = in.u32();
+        t.outcomes.push_back({v & ~1u, (v & 1u) != 0});
     }
 
     if (in.u32() != TrailerMagic)
         fatal("trace: bad trailer (corrupt or truncated)");
-    if (in.remaining() != 0)
-        fatal("trace: ", in.remaining(), " trailing bytes");
+    in.finish();
 
     // Structural cross-checks against the recorded measurement.
     if (t.fetchCount() != t.base.stats.instructions)
@@ -274,7 +151,7 @@ Trace::deserialize(const std::vector<uint8_t> &bytes)
     if (t.accesses.size() != t.base.stats.memOps())
         fatal("trace: data stream length ", t.accesses.size(),
               " does not match memory-op count ", t.base.stats.memOps());
-    if (v3 && t.outcomes.size() != t.base.stats.condBranches)
+    if (t.outcomes.size() != t.base.stats.condBranches)
         fatal("trace: branch-outcome stream length ", t.outcomes.size(),
               " does not match conditional-branch count ",
               t.base.stats.condBranches);
@@ -300,10 +177,7 @@ Trace::readFile(const std::string &path)
     std::ifstream in(path, std::ios::binary);
     if (!in)
         fatal("trace: cannot read ", path);
-    std::vector<uint8_t> bytes(
-        (std::istreambuf_iterator<char>(in)),
-        std::istreambuf_iterator<char>());
-    return deserialize(bytes);
+    return deserialize({std::istreambuf_iterator<char>(in), {}});
 }
 
 Trace

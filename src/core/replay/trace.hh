@@ -26,13 +26,13 @@
  *    interlocks, static sizes, program output), identical to what a
  *    probe-less run reports, since probes never perturb execution.
  *
- * The serialized form is a compact little-endian binary ("D16T"): 8
- * bytes per fetch run, 5 bytes per data access, 4 bytes per branch
- * outcome, with header/trailer magics and structural cross-checks so
- * truncated or corrupted traces are rejected rather than replayed.
- * Format v3 added the capture-uarch tag, the branch-policy statistics
- * and the outcome stream; v2 traces still deserialize (with
- * `hasOutcomes == false`, so predictor replay from them is refused).
+ * The serialized form is a compact little-endian binary ("D16T",
+ * format v3 only; any other version is rejected): a header with the
+ * capture-uarch tag, the measurement with its counters in
+ * sim::kStatFields order, 8 bytes per fetch run, 5 per data access, 4
+ * per branch outcome, and a trailer magic. Reads are bounds-checked
+ * (support/bytes.hh) and cross-checked against the counters, so a
+ * truncated or corrupted trace is a FatalError rather than a replay.
  */
 
 #ifndef D16SIM_CORE_REPLAY_TRACE_HH
@@ -79,11 +79,6 @@ struct Trace
     std::vector<DataAccess> accesses;
     std::vector<BranchOutcome> outcomes;
 
-    /** False only for deserialized v2 traces, which predate the
-     *  outcome stream: predictor-policy replay from them is a
-     *  FatalError rather than a silently wrong answer. */
-    bool hasOutcomes = true;
-
     /** The microarchitecture the capture ran under (its capture slice:
      *  forwarding and depth; see sim::UarchConfig::captureConfig).
      *  Replays must match it axis-for-axis on that slice. */
@@ -92,9 +87,8 @@ struct Trace
     /** Total fetches recorded (== base.stats.instructions). */
     uint64_t fetchCount() const;
 
-    /** Serialize to the compact binary format. `legacyV2` emits the
-     *  pre-outcome v2 layout (compatibility tests only). */
-    std::vector<uint8_t> serialize(bool legacyV2 = false) const;
+    /** Serialize to the compact binary format. */
+    std::vector<uint8_t> serialize() const;
 
     /** Parse a serialized trace; FatalError on truncation, bad magic,
      *  or structural corruption. */

@@ -10,6 +10,7 @@
 #include <sys/types.h>
 #include <unistd.h>
 
+#include "support/bytes.hh"
 #include "support/error.hh"
 #include "support/filelock.hh"
 #include "support/hash.hh"
@@ -56,22 +57,6 @@ isHexKey(const std::string &key)
 
 const Kind kAllKinds[] = {Kind::Result, Kind::Image, Kind::Trace,
                           Kind::Meta};
-
-uint64_t
-readLe64(const uint8_t *p)
-{
-    uint64_t v = 0;
-    for (int i = 7; i >= 0; --i)
-        v = v << 8 | p[i];
-    return v;
-}
-
-void
-writeLe64(uint8_t *p, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        p[i] = static_cast<uint8_t>(v >> (8 * i));
-}
 
 } // namespace
 
@@ -171,23 +156,26 @@ ArtifactStore::get(Kind kind, const std::string &key,
     bool corrupt = false;
     EntryHeader header;
     std::vector<uint8_t> bytes;
+    // The payload length is bounded by the file actually on disk before
+    // anything is allocated for it.
+    in.seekg(0, std::ios::end);
+    const uint64_t fileSize = static_cast<uint64_t>(in.tellg());
+    in.seekg(0);
     if (!in.read(reinterpret_cast<char *>(&header), sizeof(header)) ||
         std::memcmp(header.magic, kEntryMagic, sizeof(kEntryMagic)) != 0 ||
         header.version != kEntryVersion ||
         header.kind != static_cast<uint8_t>(kind)) {
         corrupt = true;
     } else {
-        const uint64_t len = readLe64(header.payloadLen);
-        if (len > (1ull << 32)) {
-            corrupt = true;
+        const uint64_t len = loadLe64(header.payloadLen);
+        if (len > (1ull << 32) || len != fileSize - sizeof(header)) {
+            corrupt = true; //!< truncated, or trailing garbage
         } else {
             bytes.resize(len);
             if (len &&
                 !in.read(reinterpret_cast<char *>(bytes.data()),
                          static_cast<std::streamsize>(len))) {
                 corrupt = true;
-            } else if (in.peek() != std::char_traits<char>::eof()) {
-                corrupt = true; //!< trailing garbage
             } else {
                 Sha256 h;
                 h.update(bytes.data(), bytes.size());
@@ -224,7 +212,7 @@ ArtifactStore::put(Kind kind, const std::string &key, const uint8_t *data,
     std::memcpy(header.magic, kEntryMagic, sizeof(kEntryMagic));
     header.version = kEntryVersion;
     header.kind = static_cast<uint8_t>(kind);
-    writeLe64(header.payloadLen, size);
+    storeLe64(header.payloadLen, size);
     Sha256 h;
     h.update(data, size);
     const std::array<uint8_t, 32> digest = h.digest();
@@ -233,8 +221,11 @@ ArtifactStore::put(Kind kind, const std::string &key, const uint8_t *data,
     std::string tmpPath;
     {
         std::lock_guard<std::mutex> guard(mutex_);
+        // Two handles in one process share the pid, so the handle's
+        // address keeps their staging names apart.
         tmpPath = dir_ + "/tmp/put." + std::to_string(::getpid()) + "." +
-                  std::to_string(tmpSeq_++);
+                  std::to_string(reinterpret_cast<uintptr_t>(this)) +
+                  "." + std::to_string(tmpSeq_++);
         ++counters_.puts;
     }
     {

@@ -1,9 +1,8 @@
 #include "core/sweep/artifacts.hh"
 
-#include <cstring>
-
 #include "core/sweep/sweep.hh"
 #include "core/workloads.hh"
+#include "support/bytes.hh"
 #include "support/error.hh"
 #include "support/hash.hh"
 
@@ -12,6 +11,8 @@ namespace d16sim::core::sweep
 
 namespace
 {
+
+constexpr uint32_t kBlockTableMagic = 0x4d363144; // "D16M" little-endian
 
 /** Canonical probe component of the key preimage. Unlike jobKey()'s
  *  display segment, the cache spec carries the *full* configuration —
@@ -75,19 +76,29 @@ cacheConfigJson(const mem::CacheConfig &cfg)
     return j;
 }
 
+/** The member `key` of `j`, which must have type `kind`. */
 const Json &
-member(const Json &j, const std::string &key)
+member(const Json &j, const std::string &key,
+       Json::Kind kind = Json::Kind::Object)
 {
     const Json *v = j.find(key);
     if (!v)
         fatal("artifact json: missing member '", key, "'");
+    if (v->kind() != kind)
+        fatal("artifact json: member '", key, "' has the wrong type");
     return *v;
 }
 
 uint64_t
 u64Member(const Json &j, const std::string &key)
 {
-    return static_cast<uint64_t>(member(j, key).asInt());
+    return static_cast<uint64_t>(member(j, key, Json::Kind::Int).asInt());
+}
+
+const std::string &
+stringMember(const Json &j, const std::string &key)
+{
+    return member(j, key, Json::Kind::String).asString();
 }
 
 mem::CacheConfig
@@ -99,36 +110,11 @@ cacheConfigFromJson(const Json &j)
     cfg.subBlockBytes =
         static_cast<uint32_t>(u64Member(j, "subBlockBytes"));
     cfg.assoc = static_cast<uint32_t>(u64Member(j, "assoc"));
-    cfg.prefetchWrapAround = member(j, "prefetchWrapAround").asBool();
-    cfg.writeAllocate = member(j, "writeAllocate").asBool();
-    cfg.writeBack = member(j, "writeBack").asBool();
+    cfg.prefetchWrapAround =
+        member(j, "prefetchWrapAround", Json::Kind::Bool).asBool();
+    cfg.writeAllocate = member(j, "writeAllocate", Json::Kind::Bool).asBool();
+    cfg.writeBack = member(j, "writeBack", Json::Kind::Bool).asBool();
     return cfg;
-}
-
-Json
-cacheStatsJson(const mem::CacheStats &s)
-{
-    Json j = Json::object();
-    j["reads"] = Json(s.reads);
-    j["writes"] = Json(s.writes);
-    j["readMisses"] = Json(s.readMisses);
-    j["writeMisses"] = Json(s.writeMisses);
-    j["wordsIn"] = Json(s.wordsIn);
-    j["wordsOut"] = Json(s.wordsOut);
-    return j;
-}
-
-mem::CacheStats
-cacheStatsFromJson(const Json &j)
-{
-    mem::CacheStats s;
-    s.reads = u64Member(j, "reads");
-    s.writes = u64Member(j, "writes");
-    s.readMisses = u64Member(j, "readMisses");
-    s.writeMisses = u64Member(j, "writeMisses");
-    s.wordsIn = u64Member(j, "wordsIn");
-    s.wordsOut = u64Member(j, "wordsOut");
-    return s;
 }
 
 const char *
@@ -157,7 +143,62 @@ probeFromName(const std::string &name)
     fatal("artifact json: unknown probe kind '", name, "'");
 }
 
+// Row-section decoders; their encoders follow the namespace.
+
+mem::CacheStats
+cacheStatsFromJson(const Json &j)
+{
+    mem::CacheStats s;
+    for (const auto &field : mem::kCacheStatFields)
+        s.*field.member = u64Member(j, field.name);
+    return s;
+}
+
+FetchMetrics
+fetchFromJson(const Json &j)
+{
+    return {static_cast<uint32_t>(u64Member(j, "busBytes")),
+            u64Member(j, "requests"), u64Member(j, "words")};
+}
+
+ImmMetrics
+immFromJson(const Json &j)
+{
+    return {u64Member(j, "total"), u64Member(j, "cmpImmediate"),
+            u64Member(j, "aluImmediate"), u64Member(j, "memDisplacement")};
+}
+
 } // namespace
+
+Json
+cacheStatsJson(const mem::CacheStats &stats)
+{
+    Json j = Json::object();
+    for (const auto &field : mem::kCacheStatFields)
+        j[field.name] = Json(stats.*field.member);
+    return j;
+}
+
+Json
+fetchJson(const FetchMetrics &fetch)
+{
+    Json j = Json::object();
+    j["busBytes"] = Json(fetch.busBytes);
+    j["requests"] = Json(fetch.requests);
+    j["words"] = Json(fetch.words);
+    return j;
+}
+
+Json
+immJson(const ImmMetrics &imm)
+{
+    Json j = Json::object();
+    j["total"] = Json(imm.total);
+    j["cmpImmediate"] = Json(imm.cmpImmediate);
+    j["aluImmediate"] = Json(imm.aluImmediate);
+    j["memDisplacement"] = Json(imm.memDisplacement);
+    return j;
+}
 
 const std::string &
 toolchainFingerprint()
@@ -210,11 +251,11 @@ JobSpec
 specFromJson(const Json &j)
 {
     JobSpec spec;
-    spec.workload = member(j, "workload").asString();
-    spec.opts = parseVariant(member(j, "variant").asString());
-    if (const Json *u = j.find("uarch"))
-        spec.uarch = parseUarch(u->asString());
-    spec.probe = probeFromName(member(j, "probe").asString());
+    spec.workload = stringMember(j, "workload");
+    spec.opts = parseVariant(stringMember(j, "variant"));
+    if (j.find("uarch"))
+        spec.uarch = parseUarch(stringMember(j, "uarch"));
+    spec.probe = probeFromName(stringMember(j, "probe"));
     switch (spec.probe) {
       case ProbeKind::None:
       case ProbeKind::ImmClass:
@@ -244,49 +285,25 @@ resultJson(const JobResult &result)
     r["sizeBytes"] = Json(result.run.sizeBytes);
     r["textBytes"] = Json(result.run.textBytes);
     r["textInsns"] = Json(result.run.textInsns);
-    const sim::SimStats &s = result.run.stats;
-    r["instructions"] = Json(s.instructions);
-    r["loads"] = Json(s.loads);
-    r["stores"] = Json(s.stores);
-    r["loadInterlocks"] = Json(s.loadInterlocks);
-    r["fpInterlocks"] = Json(s.fpInterlocks);
-    r["branches"] = Json(s.branches);
-    r["takenBranches"] = Json(s.takenBranches);
-    r["fpOps"] = Json(s.fpOps);
-    r["traps"] = Json(s.traps);
-    r["condBranches"] = Json(s.condBranches);
-    r["branchStalls"] = Json(s.branchStalls);
-    r["mispredicts"] = Json(s.mispredicts);
-    r["fwdSavedStalls"] = Json(s.fwdSavedStalls);
-    r["branchBubbles"] = Json(s.branchBubbles);
+    for (const auto &field : sim::kStatFields)
+        r[field.name] = Json(result.run.stats.*field.member);
     j["run"] = std::move(r);
 
     switch (result.probe) {
       case ProbeKind::None:
         break;
-      case ProbeKind::FetchBuffer: {
-        Json f = Json::object();
-        f["busBytes"] = Json(result.fetch.busBytes);
-        f["requests"] = Json(result.fetch.requests);
-        f["words"] = Json(result.fetch.words);
-        j["fetch"] = std::move(f);
+      case ProbeKind::FetchBuffer:
+        j["fetch"] = fetchJson(result.fetch);
         break;
-      }
       case ProbeKind::CacheSim:
         j["icacheCfg"] = cacheConfigJson(result.icacheCfg);
         j["dcacheCfg"] = cacheConfigJson(result.dcacheCfg);
         j["icache"] = cacheStatsJson(result.icache);
         j["dcache"] = cacheStatsJson(result.dcache);
         break;
-      case ProbeKind::ImmClass: {
-        Json m = Json::object();
-        m["total"] = Json(result.imm.total);
-        m["cmpImmediate"] = Json(result.imm.cmpImmediate);
-        m["aluImmediate"] = Json(result.imm.aluImmediate);
-        m["memDisplacement"] = Json(result.imm.memDisplacement);
-        j["imm"] = std::move(m);
+      case ProbeKind::ImmClass:
+        j["imm"] = immJson(result.imm);
         break;
-      }
     }
     return j;
 }
@@ -294,61 +311,38 @@ resultJson(const JobResult &result)
 JobResult
 resultFromJson(const Json &j)
 {
-    if (member(j, "schema").asString() != "d16store-result-v2")
-        fatal("artifact json: unknown result schema '",
-              member(j, "schema").asString(), "'");
+    const std::string &schema = stringMember(j, "schema");
+    if (schema != "d16store-result-v2")
+        fatal("artifact json: unknown result schema '", schema, "'");
     JobResult result;
-    result.probe = probeFromName(member(j, "probe").asString());
-    result.uarch = parseUarch(member(j, "uarch").asString());
+    result.probe = probeFromName(stringMember(j, "probe"));
+    result.uarch = parseUarch(stringMember(j, "uarch"));
 
     const Json &r = member(j, "run");
-    result.run.output = member(r, "output").asString();
+    result.run.output = stringMember(r, "output");
     result.run.exitStatus =
-        static_cast<int>(member(r, "exitStatus").asInt());
+        static_cast<int>(member(r, "exitStatus", Json::Kind::Int).asInt());
     result.run.sizeBytes = static_cast<uint32_t>(u64Member(r, "sizeBytes"));
     result.run.textBytes = static_cast<uint32_t>(u64Member(r, "textBytes"));
     result.run.textInsns = static_cast<uint32_t>(u64Member(r, "textInsns"));
-    sim::SimStats &s = result.run.stats;
-    s.instructions = u64Member(r, "instructions");
-    s.loads = u64Member(r, "loads");
-    s.stores = u64Member(r, "stores");
-    s.loadInterlocks = u64Member(r, "loadInterlocks");
-    s.fpInterlocks = u64Member(r, "fpInterlocks");
-    s.branches = u64Member(r, "branches");
-    s.takenBranches = u64Member(r, "takenBranches");
-    s.fpOps = u64Member(r, "fpOps");
-    s.traps = u64Member(r, "traps");
-    s.condBranches = u64Member(r, "condBranches");
-    s.branchStalls = u64Member(r, "branchStalls");
-    s.mispredicts = u64Member(r, "mispredicts");
-    s.fwdSavedStalls = u64Member(r, "fwdSavedStalls");
-    s.branchBubbles = u64Member(r, "branchBubbles");
+    for (const auto &field : sim::kStatFields)
+        result.run.stats.*field.member = u64Member(r, field.name);
 
     switch (result.probe) {
       case ProbeKind::None:
         break;
-      case ProbeKind::FetchBuffer: {
-        const Json &f = member(j, "fetch");
-        result.fetch.busBytes =
-            static_cast<uint32_t>(u64Member(f, "busBytes"));
-        result.fetch.requests = u64Member(f, "requests");
-        result.fetch.words = u64Member(f, "words");
+      case ProbeKind::FetchBuffer:
+        result.fetch = fetchFromJson(member(j, "fetch"));
         break;
-      }
       case ProbeKind::CacheSim:
         result.icacheCfg = cacheConfigFromJson(member(j, "icacheCfg"));
         result.dcacheCfg = cacheConfigFromJson(member(j, "dcacheCfg"));
         result.icache = cacheStatsFromJson(member(j, "icache"));
         result.dcache = cacheStatsFromJson(member(j, "dcache"));
         break;
-      case ProbeKind::ImmClass: {
-        const Json &m = member(j, "imm");
-        result.imm.total = u64Member(m, "total");
-        result.imm.cmpImmediate = u64Member(m, "cmpImmediate");
-        result.imm.aluImmediate = u64Member(m, "aluImmediate");
-        result.imm.memDisplacement = u64Member(m, "memDisplacement");
+      case ProbeKind::ImmClass:
+        result.imm = immFromJson(member(j, "imm"));
         break;
-      }
     }
     return result;
 }
@@ -363,57 +357,52 @@ resultBytes(const JobResult &result)
 JobResult
 resultFromBytes(const std::vector<uint8_t> &bytes)
 {
-    return resultFromJson(Json::parse(
+    JobResult result = resultFromJson(Json::parse(
         std::string_view(reinterpret_cast<const char *>(bytes.data()),
                          bytes.size())));
+    // Only resultBytes() output is a valid row: anything else that
+    // parses (whitespace, a non-canonical number, an unknown member)
+    // would not re-encode to the stored bytes.
+    if (resultBytes(result) != bytes)
+        fatal("artifact json: result row is not in canonical form");
+    return result;
 }
 
 std::vector<uint8_t>
 blockTableBytes(const sim::BlockTable &table)
 {
-    std::vector<uint8_t> out;
-    out.reserve(12 + 8 * table.spans.size());
-    const char magic[4] = {'D', '1', '6', 'M'};
-    out.insert(out.end(), magic, magic + 4);
-    auto putU32 = [&out](uint32_t v) {
-        out.push_back(static_cast<uint8_t>(v));
-        out.push_back(static_cast<uint8_t>(v >> 8));
-        out.push_back(static_cast<uint8_t>(v >> 16));
-        out.push_back(static_cast<uint8_t>(v >> 24));
-    };
-    putU32(1); // version
-    putU32(static_cast<uint32_t>(table.spans.size()));
+    std::vector<uint8_t> bytes;
+    bytes.reserve(12 + 8 * table.spans.size());
+    ByteWriter out(bytes);
+    out.u32(kBlockTableMagic);
+    out.u32(1); // version
+    out.u32(static_cast<uint32_t>(table.spans.size()));
     for (const sim::BlockSpan &span : table.spans) {
-        putU32(span.startPc);
-        putU32(span.count);
+        out.u32(span.startPc);
+        out.u32(span.count);
     }
-    return out;
+    return bytes;
 }
 
 sim::BlockTable
 blockTableFromBytes(const std::vector<uint8_t> &bytes)
 {
-    auto u32At = [&bytes](size_t pos) {
-        return static_cast<uint32_t>(bytes[pos]) |
-               static_cast<uint32_t>(bytes[pos + 1]) << 8 |
-               static_cast<uint32_t>(bytes[pos + 2]) << 16 |
-               static_cast<uint32_t>(bytes[pos + 3]) << 24;
-    };
-    if (bytes.size() < 12 || std::memcmp(bytes.data(), "D16M", 4) != 0)
+    ByteReader in(bytes, "block table deserialize");
+    if (in.u32() != kBlockTableMagic)
         fatal("block table deserialize: bad magic");
-    if (u32At(4) != 1)
-        fatal("block table deserialize: version ", u32At(4));
-    const uint32_t count = u32At(8);
-    if (bytes.size() != 12 + 8ull * count)
-        fatal("block table deserialize: truncated");
+    const uint32_t version = in.u32();
+    if (version != 1)
+        fatal("block table deserialize: version ", version);
+    const uint64_t count = in.count(in.u32(), 8);
     sim::BlockTable table;
-    table.spans.reserve(count);
-    for (uint32_t i = 0; i < count; ++i) {
+    table.spans.reserve(static_cast<size_t>(count));
+    for (uint64_t i = 0; i < count; ++i) {
         sim::BlockSpan span;
-        span.startPc = u32At(12 + 8ull * i);
-        span.count = u32At(16 + 8ull * i);
+        span.startPc = in.u32();
+        span.count = in.u32();
         table.spans.push_back(span);
     }
+    in.finish();
     return table;
 }
 

@@ -91,6 +91,14 @@ JobResult resultFromJson(const Json &j);
 std::vector<uint8_t> resultBytes(const JobResult &result);
 JobResult resultFromBytes(const std::vector<uint8_t> &bytes);
 
+/** Row sections written identically by resultJson() and the sweep
+ *  row (JobResult::json()), each decoded beside its encoder in
+ *  artifacts.cc: every kCacheStatFields counter, and the fetch-buffer
+ *  and immediate-class metrics. */
+Json cacheStatsJson(const mem::CacheStats &stats);
+Json fetchJson(const FetchMetrics &fetch);
+Json immJson(const ImmMetrics &imm);
+
 // ----- per-build artifacts ---------------------------------------------
 
 /** Block-table metadata codec ("D16M"): the analyzer-proved block

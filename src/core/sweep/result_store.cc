@@ -2,6 +2,7 @@
 
 #include "core/replay/replay.hh"
 #include "core/replay/trace.hh"
+#include "core/sweep/artifacts.hh"
 #include "core/workloads.hh"
 #include "support/error.hh"
 
@@ -201,22 +202,18 @@ replayJob(const JobSpec &spec, const replay::Trace &trace)
 namespace
 {
 
+/** The sweep row's cache section: the counters plus the geometry and
+ *  the derived miss rate. */
 Json
-cacheStatsJson(const mem::CacheConfig &cfg, const mem::CacheStats &s)
+cacheRowJson(const mem::CacheConfig &cfg, const mem::CacheStats &s)
 {
-    Json j = Json::object();
+    Json j = cacheStatsJson(s);
     Json config = Json::object();
     config["sizeBytes"] = Json(cfg.sizeBytes);
     config["blockBytes"] = Json(cfg.blockBytes);
     config["subBlockBytes"] = Json(cfg.subBlockBytes);
     config["assoc"] = Json(cfg.assoc);
     j["config"] = std::move(config);
-    j["reads"] = Json(s.reads);
-    j["writes"] = Json(s.writes);
-    j["readMisses"] = Json(s.readMisses);
-    j["writeMisses"] = Json(s.writeMisses);
-    j["wordsIn"] = Json(s.wordsIn);
-    j["wordsOut"] = Json(s.wordsOut);
     j["missRate"] = Json(s.missRate());
     return j;
 }
@@ -233,16 +230,8 @@ JobResult::json() const
     r["sizeBytes"] = Json(run.sizeBytes);
     r["textBytes"] = Json(run.textBytes);
     r["textInsns"] = Json(run.textInsns);
-    r["instructions"] = Json(run.stats.instructions);
-    r["loads"] = Json(run.stats.loads);
-    r["stores"] = Json(run.stats.stores);
-    r["loadInterlocks"] = Json(run.stats.loadInterlocks);
-    r["fpInterlocks"] = Json(run.stats.fpInterlocks);
-    r["branches"] = Json(run.stats.branches);
-    r["takenBranches"] = Json(run.stats.takenBranches);
-    r["fpOps"] = Json(run.stats.fpOps);
-    r["traps"] = Json(run.stats.traps);
-    r["branchBubbles"] = Json(run.stats.branchBubbles);
+    for (const auto &field : sim::kBaseStatFields)
+        r[field.name] = Json(run.stats.*field.member);
     j["run"] = std::move(r);
 
     Json d = Json::object();
@@ -257,37 +246,24 @@ JobResult::json() const
     if (!uarch.isDefault()) {
         Json u = Json::object();
         u["config"] = Json(uarch.key());
-        u["condBranches"] = Json(run.stats.condBranches);
-        u["branchStalls"] = Json(run.stats.branchStalls);
-        u["mispredicts"] = Json(run.stats.mispredicts);
-        u["fwdSavedStalls"] = Json(run.stats.fwdSavedStalls);
+        for (const auto &field : sim::kUarchStatFields)
+            u[field.name] = Json(run.stats.*field.member);
         j["uarch"] = std::move(u);
     }
 
     switch (probe) {
       case ProbeKind::None:
         break;
-      case ProbeKind::FetchBuffer: {
-        Json f = Json::object();
-        f["busBytes"] = Json(fetch.busBytes);
-        f["requests"] = Json(fetch.requests);
-        f["words"] = Json(fetch.words);
-        j["fetch"] = std::move(f);
+      case ProbeKind::FetchBuffer:
+        j["fetch"] = fetchJson(fetch);
         break;
-      }
       case ProbeKind::CacheSim:
-        j["icache"] = cacheStatsJson(icacheCfg, icache);
-        j["dcache"] = cacheStatsJson(dcacheCfg, dcache);
+        j["icache"] = cacheRowJson(icacheCfg, icache);
+        j["dcache"] = cacheRowJson(dcacheCfg, dcache);
         break;
-      case ProbeKind::ImmClass: {
-        Json m = Json::object();
-        m["total"] = Json(imm.total);
-        m["cmpImmediate"] = Json(imm.cmpImmediate);
-        m["aluImmediate"] = Json(imm.aluImmediate);
-        m["memDisplacement"] = Json(imm.memDisplacement);
-        j["imm"] = std::move(m);
+      case ProbeKind::ImmClass:
+        j["imm"] = immJson(imm);
         break;
-      }
     }
     return j;
 }

@@ -20,8 +20,11 @@
 #ifndef D16SIM_MEM_CACHE_HH
 #define D16SIM_MEM_CACHE_HH
 
+#include <array>
 #include <cstdint>
 #include <vector>
+
+#include "support/stat_field.hh"
 
 namespace d16sim::mem
 {
@@ -75,6 +78,21 @@ struct CacheStats
 
     uint64_t wordsTransferred() const { return wordsIn + wordsOut; }
 };
+
+/** The CacheStats wire schema: every cache-stats codec derives from
+ *  this list. */
+inline constexpr auto kCacheStatFields =
+    std::to_array<StatField<CacheStats>>({
+        {"reads", &CacheStats::reads},
+        {"writes", &CacheStats::writes},
+        {"readMisses", &CacheStats::readMisses},
+        {"writeMisses", &CacheStats::writeMisses},
+        {"wordsIn", &CacheStats::wordsIn},
+        {"wordsOut", &CacheStats::wordsOut},
+    });
+static_assert(sizeof(CacheStats) ==
+                  kCacheStatFields.size() * sizeof(uint64_t),
+              "every CacheStats counter needs a kCacheStatFields line");
 
 class Cache
 {

@@ -12,7 +12,11 @@
 #ifndef D16SIM_SIM_STATS_HH
 #define D16SIM_SIM_STATS_HH
 
+#include <array>
 #include <cstdint>
+#include <span>
+
+#include "support/stat_field.hh"
 
 namespace d16sim::sim
 {
@@ -77,6 +81,37 @@ struct SimStats
                             : 0.0;
     }
 };
+
+/**
+ * The SimStats wire schema, in D16T byte order: the trace, the store
+ * row and the sweep row all derive from this one list. The paper's ten
+ * base counters (kBaseStatFields) come first, then the
+ * microarchitectural ones (kUarchStatFields, sim/uarch.hh), which the
+ * sweep row emits only off the default machine.
+ */
+inline constexpr auto kStatFields =
+    std::to_array<StatField<SimStats>>({
+        {"instructions", &SimStats::instructions},
+        {"loads", &SimStats::loads},
+        {"stores", &SimStats::stores},
+        {"loadInterlocks", &SimStats::loadInterlocks},
+        {"fpInterlocks", &SimStats::fpInterlocks},
+        {"branches", &SimStats::branches},
+        {"takenBranches", &SimStats::takenBranches},
+        {"fpOps", &SimStats::fpOps},
+        {"traps", &SimStats::traps},
+        {"branchBubbles", &SimStats::branchBubbles},
+        {"condBranches", &SimStats::condBranches},
+        {"branchStalls", &SimStats::branchStalls},
+        {"mispredicts", &SimStats::mispredicts},
+        {"fwdSavedStalls", &SimStats::fwdSavedStalls},
+    });
+static_assert(sizeof(SimStats) == kStatFields.size() * sizeof(uint64_t),
+              "every SimStats counter needs a kStatFields line");
+
+inline constexpr auto kBaseStatFields = std::span(kStatFields).first<10>();
+inline constexpr auto kUarchStatFields =
+    std::span(kStatFields).subspan<10>();
 
 } // namespace d16sim::sim
 

@@ -6,6 +6,7 @@
 
 #include <unistd.h>
 
+#include "support/bytes.hh"
 #include "support/error.hh"
 
 namespace d16sim
@@ -56,13 +57,8 @@ writeFrame(int fd, const Json &doc)
     const std::string payload = doc.dump();
     if (payload.size() > kMaxFrameBytes)
         fatal("frame too large: ", payload.size(), " bytes");
-    const uint32_t len = static_cast<uint32_t>(payload.size());
-    uint8_t header[4] = {
-        static_cast<uint8_t>(len),
-        static_cast<uint8_t>(len >> 8),
-        static_cast<uint8_t>(len >> 16),
-        static_cast<uint8_t>(len >> 24),
-    };
+    uint8_t header[4];
+    storeLe32(header, static_cast<uint32_t>(payload.size()));
     // One write for the header+payload pair keeps frames contiguous
     // on the wire without a second syscall for small messages.
     std::string wire;
@@ -78,10 +74,7 @@ readFrame(int fd, Json *doc)
     uint8_t header[4];
     if (!readAll(fd, header, sizeof(header)))
         return false;
-    const uint32_t len = static_cast<uint32_t>(header[0]) |
-                         static_cast<uint32_t>(header[1]) << 8 |
-                         static_cast<uint32_t>(header[2]) << 16 |
-                         static_cast<uint32_t>(header[3]) << 24;
+    const uint32_t len = loadLe32(header);
     if (len > kMaxFrameBytes)
         fatal("frame length ", len, " exceeds cap ", kMaxFrameBytes);
     std::string payload(len, '\0');

@@ -17,6 +17,7 @@
 #include "core/sweep/sweep.hh"
 #include "core/toolchain.hh"
 #include "core/workloads.hh"
+#include "support/bytes.hh"
 #include "support/error.hh"
 
 namespace
@@ -260,13 +261,11 @@ TEST(TraceFormat, V3OutcomeStreamRoundTripsByteExactly)
     for (const CompileOptions &opts :
          {CompileOptions::d16(), CompileOptions::dlxe()}) {
         const Trace t = captureProgram(opts);
-        EXPECT_TRUE(t.hasOutcomes);
         ASSERT_EQ(t.outcomes.size(), t.base.stats.condBranches);
         EXPECT_GT(t.outcomes.size(), 0u);
 
         const std::vector<uint8_t> bytes = t.serialize();
         const Trace back = Trace::deserialize(bytes);
-        EXPECT_TRUE(back.hasOutcomes);
         ASSERT_EQ(back.outcomes.size(), t.outcomes.size());
         for (size_t i = 0; i < t.outcomes.size(); ++i) {
             EXPECT_EQ(back.outcomes[i].pc, t.outcomes[i].pc);
@@ -275,38 +274,6 @@ TEST(TraceFormat, V3OutcomeStreamRoundTripsByteExactly)
         EXPECT_TRUE(back.capturedUarch == t.capturedUarch);
         EXPECT_EQ(back.serialize(), bytes);
     }
-}
-
-TEST(TraceFormat, LegacyV2RoundTripsByteExactly)
-{
-    const Trace t = captureProgram(CompileOptions::d16());
-    const std::vector<uint8_t> v2 = t.serialize(/*legacyV2=*/true);
-    EXPECT_LT(v2.size(), t.serialize().size());
-
-    const Trace back = Trace::deserialize(v2);
-    EXPECT_FALSE(back.hasOutcomes);
-    EXPECT_TRUE(back.outcomes.empty());
-    EXPECT_EQ(back.serialize(/*legacyV2=*/true), v2);
-    // The replay streams survive the downgrade.
-    EXPECT_EQ(back.fetchCount(), t.fetchCount());
-    EXPECT_EQ(back.accesses.size(), t.accesses.size());
-}
-
-TEST(Replay, PredictorReplayFromLegacyTraceIsFatal)
-{
-    const Trace legacy = Trace::deserialize(
-        captureProgram(CompileOptions::d16()).serialize(true));
-
-    sim::UarchConfig bimodal;
-    bimodal.branch = sim::BranchPolicy::Bimodal;
-    EXPECT_THROW(replay::branchStatsFor(legacy, bimodal), FatalError);
-    sim::UarchConfig staticNt;
-    staticNt.branch = sim::BranchPolicy::StaticNotTaken;
-    EXPECT_THROW(replay::branchStatsFor(legacy, staticNt), FatalError);
-    // Delay-slot accounting needs no outcome stream and stays usable.
-    EXPECT_EQ(replay::branchStatsFor(legacy, sim::UarchConfig{})
-                  .branchStalls,
-              0u);
 }
 
 TEST(Replay, BranchStatsRejectCaptureSliceMismatch)
@@ -369,14 +336,27 @@ TEST(TraceFormat, RejectsCorruptedTrace)
         bad[0] ^= 0xff;  // header magic
         EXPECT_THROW(Trace::deserialize(bad), FatalError);
     }
-    {
+    for (uint8_t version : {2, 99}) {
+        // Unsupported versions, including the retired v2 layout.
         std::vector<uint8_t> bad = good;
-        bad[4] = 99;  // unsupported version
+        bad[4] = version;
         EXPECT_THROW(Trace::deserialize(bad), FatalError);
     }
     {
         std::vector<uint8_t> bad = good;
         bad[bad.size() - 1] ^= 0xff;  // trailer magic
+        EXPECT_THROW(Trace::deserialize(bad), FatalError);
+    }
+    {
+        // A fetch-run count whose byte size wraps 64 bits must not
+        // reach the table reservation.
+        const Trace t = Trace::deserialize(good);
+        const size_t runCountAt = 20 + 4 * 4 +
+                                  8 * sim::kStatFields.size() + 8 +
+                                  t.base.output.size();
+        ASSERT_EQ(loadLe64(&good[runCountAt]), t.runs.size());
+        std::vector<uint8_t> bad = good;
+        storeLe64(&bad[runCountAt], (uint64_t{1} << 61) + 1);
         EXPECT_THROW(Trace::deserialize(bad), FatalError);
     }
 }

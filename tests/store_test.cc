@@ -11,7 +11,9 @@
  *    the preimage, the toolchain fingerprint, or a workload source
  *    fails loudly (regenerate with `store_test --update-golden` after
  *    an *intended* change);
- *  - artifact codecs: image, result row, and block-table round trips;
+ *  - artifact codecs: image, result row, and block-table round trips,
+ *    every stat-table field through every codec, and a mutation sweep
+ *    (every prefix and every single-bit flip) over each decoder;
  *  - the store itself: put/get/contains/scan, corruption detection
  *    (truncated and bit-flipped entries are misses, never served),
  *    and gc() (never evicts a live key);
@@ -32,16 +34,19 @@
 #include <thread>
 
 #include <dirent.h>
+#include <sys/resource.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include "core/replay/trace.hh"
 #include "core/store/store.hh"
 #include "core/sweep/artifacts.hh"
 #include "core/sweep/sweep.hh"
 #include "core/toolchain.hh"
 #include "core/workloads.hh"
+#include "support/bytes.hh"
 #include "support/error.hh"
 #include "support/hash.hh"
 
@@ -111,6 +116,102 @@ entryFile(const std::string &storeDir, store::Kind kind,
 {
     return storeDir + "/" + store::kindName(kind) + "/" +
            key.substr(0, 2) + "/" + key;
+}
+
+/**
+ * Caps the process's address space at its current size plus
+ * `headroom` while alive, so an allocation sized by an untrusted
+ * length fails in the test instead of quietly succeeding. Inactive
+ * under ASan and TSan, which reserve their shadow memory up front.
+ */
+class AddressSpaceCap
+{
+  public:
+    explicit AddressSpaceCap(uint64_t headroom)
+    {
+#if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+        std::ifstream statm("/proc/self/statm");
+        uint64_t pages = 0;
+        if (!(statm >> pages) || ::getrlimit(RLIMIT_AS, &saved_) != 0)
+            return;
+        rlimit cap = saved_;
+        cap.rlim_cur = pages * static_cast<uint64_t>(::sysconf(
+                                   _SC_PAGESIZE)) +
+                       headroom;
+        if (cap.rlim_cur < saved_.rlim_cur)
+            active_ = ::setrlimit(RLIMIT_AS, &cap) == 0;
+#else
+        (void)headroom;
+#endif
+    }
+
+    ~AddressSpaceCap()
+    {
+        if (active_)
+            ::setrlimit(RLIMIT_AS, &saved_);
+    }
+
+    AddressSpaceCap(const AddressSpaceCap &) = delete;
+    AddressSpaceCap &operator=(const AddressSpaceCap &) = delete;
+
+  private:
+    rlimit saved_{};
+    bool active_ = false;
+};
+
+/** A program small enough that every bit of its artifacts can be
+ *  mutated in one test. */
+constexpr const char *kTinyProgram = R"(
+int buf[4];
+
+int main() {
+    int i;
+    for (i = 0; i < 4; i = i + 1)
+        buf[i] = i * 3;
+    print_int(buf[3]);
+    return 0;
+}
+)";
+
+/**
+ * Feed `decode` every proper prefix and every single-bit flip of
+ * `good`. Each attempt must throw FatalError or decode to a value that
+ * `encode`s back to exactly the attempted bytes; any other exception
+ * is a failure (a crash fails the whole binary).
+ */
+template <typename Decode, typename Encode>
+void
+expectMutationsFailCleanly(const std::string &what,
+                           const std::vector<uint8_t> &good, Decode decode,
+                           Encode encode)
+{
+    ASSERT_EQ(encode(decode(good)), good) << what;
+    std::vector<std::string> failures;
+    auto attempt = [&](const std::vector<uint8_t> &bytes,
+                       const std::string &how) {
+        try {
+            if (encode(decode(bytes)) != bytes)
+                failures.push_back(how + ": accepted but re-encodes "
+                                         "differently");
+        } catch (const FatalError &) {
+        } catch (const std::exception &e) {
+            failures.push_back(how + ": " + e.what());
+        }
+    };
+    for (size_t n = 0; n < good.size(); ++n)
+        attempt(std::vector<uint8_t>(good.begin(),
+                                     good.begin() +
+                                         static_cast<ptrdiff_t>(n)),
+                "prefix of " + std::to_string(n) + " bytes");
+    for (size_t bit = 0; bit < 8 * good.size(); ++bit) {
+        std::vector<uint8_t> bad = good;
+        bad[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+        attempt(bad, "bit " + std::to_string(bit) + " flipped");
+    }
+    EXPECT_TRUE(failures.empty())
+        << what << ": " << failures.size() << " of "
+        << 9 * good.size() << " mutations misbehaved, first: "
+        << (failures.empty() ? "" : failures.front());
 }
 
 /** A small matrix exercising every probe kind. */
@@ -299,6 +400,16 @@ TEST(Codecs, ImageRoundTrip)
     bad = img.serialize();
     bad.resize(bad.size() - 1);
     EXPECT_THROW(assem::Image::deserialize(bad), FatalError);
+
+    // A site count of 2^32 - 1 with no sites after it is rejected
+    // before anything is reserved for the sites (32 GB).
+    bad = img.serialize();
+    const size_t siteCountAt = bad.size() - 4 - 8 * img.insnSites.size();
+    ASSERT_EQ(loadLe32(&bad[siteCountAt]), img.insnSites.size());
+    storeLe32(&bad[siteCountAt], 0xffffffffu);
+    bad.resize(siteCountAt + 4);
+    AddressSpaceCap cap(uint64_t{1} << 30);
+    EXPECT_THROW(assem::Image::deserialize(bad), FatalError);
 }
 
 TEST(Codecs, ResultRoundTripEveryProbeKind)
@@ -314,6 +425,99 @@ TEST(Codecs, ResultRoundTripEveryProbeKind)
         EXPECT_EQ(back.run.output, executed.run.output);
         EXPECT_EQ(back.run.exitStatus, executed.run.exitStatus);
     }
+}
+
+TEST(Codecs, EveryStatFieldRoundTripsThroughEveryCodec)
+{
+    // A distinct value per counter, so a dropped, renamed or swapped
+    // field shows in every codec.
+    sim::SimStats stats;
+    uint64_t next = 1;
+    for (const auto &field : sim::kStatFields)
+        stats.*field.member = next++;
+    mem::CacheStats icache, dcache;
+    for (const auto &field : mem::kCacheStatFields) {
+        icache.*field.member = next++;
+        dcache.*field.member = next++;
+    }
+
+    // D16T: the streams must agree with the counters they cross-check.
+    replay::Trace trace;
+    trace.base.stats = stats;
+    trace.runs.push_back(
+        {0x1000, static_cast<uint32_t>(stats.instructions)});
+    trace.accesses.resize(stats.memOps(), {0x2000, 4, false});
+    trace.outcomes.resize(stats.condBranches, {0x1004, true});
+    EXPECT_EQ(replay::Trace::deserialize(trace.serialize()).base.stats,
+              stats);
+
+    // Store row: every counter, and the cache stats of a cache job on
+    // a non-default machine.
+    sweep::JobResult result;
+    result.probe = sweep::ProbeKind::CacheSim;
+    result.uarch = sweep::parseUarch("fwd=on");
+    result.run.stats = stats;
+    result.icache = icache;
+    result.dcache = dcache;
+    const sweep::JobResult back =
+        sweep::resultFromBytes(sweep::resultBytes(result));
+    EXPECT_EQ(back.run.stats, stats);
+
+    // Sweep row: base counters under "run", uarch counters under
+    // "uarch", cache counters under each cache.
+    const Json row = result.json();
+    for (const auto &field : mem::kCacheStatFields) {
+        EXPECT_EQ(back.icache.*field.member, icache.*field.member);
+        EXPECT_EQ(back.dcache.*field.member, dcache.*field.member);
+        EXPECT_EQ(row.find("icache")->find(field.name)->asInt(),
+                  static_cast<int64_t>(icache.*field.member));
+        EXPECT_EQ(row.find("dcache")->find(field.name)->asInt(),
+                  static_cast<int64_t>(dcache.*field.member));
+    }
+    for (const auto &field : sim::kBaseStatFields)
+        EXPECT_EQ(row.find("run")->find(field.name)->asInt(),
+                  static_cast<int64_t>(stats.*field.member));
+    for (const auto &field : sim::kUarchStatFields)
+        EXPECT_EQ(row.find("uarch")->find(field.name)->asInt(),
+                  static_cast<int64_t>(stats.*field.member));
+}
+
+TEST(Codecs, MutatedArtifactsFailCleanlyOrRoundTrip)
+{
+    const assem::Image image =
+        build(kTinyProgram, mc::CompileOptions::d16());
+    const replay::Trace trace = replay::capture(image);
+    mem::CacheConfig cfg;
+    cfg.sizeBytes = 1024;
+    cfg.blockBytes = 16;
+    const sweep::JobResult row = sweep::replayJob(
+        sweep::JobSpec::cache("tiny", mc::CompileOptions::d16(), cfg, cfg),
+        trace);
+
+    expectMutationsFailCleanly(
+        "D16T", trace.serialize(),
+        [](const std::vector<uint8_t> &b) {
+            return replay::Trace::deserialize(b);
+        },
+        [](const replay::Trace &t) { return t.serialize(); });
+    expectMutationsFailCleanly(
+        "D16I", image.serialize(),
+        [](const std::vector<uint8_t> &b) {
+            return assem::Image::deserialize(b);
+        },
+        [](const assem::Image &i) { return i.serialize(); });
+    expectMutationsFailCleanly(
+        "D16M", sweep::blockTableBytes(recoverBlockTable(image)),
+        [](const std::vector<uint8_t> &b) {
+            return sweep::blockTableFromBytes(b);
+        },
+        [](const sim::BlockTable &t) { return sweep::blockTableBytes(t); });
+    expectMutationsFailCleanly(
+        "result row", sweep::resultBytes(row),
+        [](const std::vector<uint8_t> &b) {
+            return sweep::resultFromBytes(b);
+        },
+        [](const sweep::JobResult &r) { return sweep::resultBytes(r); });
 }
 
 TEST(Codecs, BlockTableRoundTrip)
@@ -425,7 +629,25 @@ TEST(Store, CorruptEntriesAreNeverServed)
     }
     EXPECT_FALSE(s.get(store::Kind::Image, key, &got));
 
-    EXPECT_EQ(s.counters().corrupt, 4u);
+    // A header claiming 4 GiB of payload in a 64-byte file: the length
+    // is checked against the file before any allocation.
+    s.put(store::Kind::Trace, key, payload);
+    {
+        std::string bytes = readFile(path);
+        bytes.resize(64);
+        uint8_t len[8];
+        storeLe64(len, uint64_t{1} << 32);
+        bytes.replace(8, 8, reinterpret_cast<const char *>(len), 8);
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out << bytes;
+    }
+    {
+        AddressSpaceCap cap(uint64_t{1} << 30);
+        EXPECT_FALSE(s.get(store::Kind::Trace, key, &got));
+    }
+    EXPECT_FALSE(s.contains(store::Kind::Trace, key));
+
+    EXPECT_EQ(s.counters().corrupt, 5u);
 
     // A re-put after corruption serves again.
     s.put(store::Kind::Trace, key, payload);
