@@ -58,7 +58,7 @@ main()
     header("Figure 4 / Table 6: code size and relative density",
            "Bunda et al. 1993, Fig. 4 and Table 6");
 
-    const auto variants = allVariants();
+    const auto variants = sweep::paperVariants();
     std::vector<JobSpec> plan;
     for (const Workload &w : workloadSuite())
         for (const auto &[name, opts] : variants)

@@ -17,7 +17,7 @@ main()
     header("Figure 5 / Table 7: path length",
            "Bunda et al. 1993, Fig. 5 and Table 7");
 
-    const auto variants = allVariants();
+    const auto variants = sweep::paperVariants();
     std::vector<JobSpec> plan;
     for (const Workload &w : workloadSuite())
         for (const auto &[name, opts] : variants)

@@ -14,9 +14,6 @@
  * program/variant pair, and does.
  */
 
-#include <atomic>
-#include <thread>
-
 #include "analysis/cfg.hh"
 #include "analysis/timing.hh"
 #include "common.hh"
@@ -77,7 +74,7 @@ main()
     header("Figures 11-12 / Table 5: density and path-length summary",
            "Bunda et al. 1993, Figs. 11-12 and Table 5");
 
-    const auto variants = allVariants();
+    const auto variants = sweep::paperVariants();
     std::vector<JobSpec> plan;
     for (const Workload &w : workloadSuite())
         for (const auto &[name, opts] : variants)
@@ -131,19 +128,9 @@ main()
     // execution-weighted static stall bounds.
     const auto &suite = workloadSuite();
     std::vector<InterlockCell> cells(suite.size() * 5);
-    std::atomic<size_t> nextCell{0};
-    auto worker = [&] {
-        for (size_t i = nextCell.fetch_add(1); i < cells.size();
-             i = nextCell.fetch_add(1))
-            cells[i] = interlocks(suite[i / 5],
-                                  variants[i % 5].second);
-    };
-    std::vector<std::thread> pool;
-    for (int t = 1; t < defaultJobs(); ++t)
-        pool.emplace_back(worker);
-    worker();
-    for (std::thread &t : pool)
-        t.join();
+    parallelFor(cells.size(), defaultJobs(), [&](size_t i) {
+        cells[i] = interlocks(suite[i / 5], variants[i % 5].second);
+    });
 
     Table locks({"Program", variants[0].first, variants[1].first,
                  variants[2].first, variants[3].first,

@@ -21,28 +21,14 @@ using namespace d16bench;
 namespace
 {
 
-const std::vector<std::string> &
+/** The paper baseline, then the machines of sweep::uarchSmokeMatrix(). */
+std::vector<std::string>
 uarchConfigs()
 {
-    // Mirrors sweep::uarchSmokeMatrix() plus the paper baseline.
-    static const std::vector<std::string> configs = {
-        "",
-        "fwd=on",
-        "bp=static",
-        "bp=bimodal6",
-        "bp=bimodal2",
-        "depth=7",
-        "fwd=on,bp=bimodal6,depth=7",
-    };
+    std::vector<std::string> configs = {""};
+    for (std::string &cfg : sweep::uarchSmokeConfigs())
+        configs.push_back(std::move(cfg));
     return configs;
-}
-
-const std::vector<std::string> &
-suite()
-{
-    static const std::vector<std::string> names = {"bubblesort", "queens",
-                                                   "towers"};
-    return names;
 }
 
 struct Agg
@@ -69,7 +55,7 @@ Agg
 aggregate(const CompileOptions &opts, const sim::UarchConfig &uarch)
 {
     Agg a;
-    for (const std::string &w : suite()) {
+    for (const std::string &w : sweep::uarchSmokeWorkloads()) {
         JobSpec spec = JobSpec::base(w, opts);
         spec.uarch = uarch;
         const JobResult &r = measureJob(spec);
@@ -103,7 +89,7 @@ main()
 
     std::vector<JobSpec> plan;
     for (const std::string &cfg : uarchConfigs())
-        for (const std::string &w : suite())
+        for (const std::string &w : sweep::uarchSmokeWorkloads())
             for (const CompileOptions &opts : {d16, dlxe}) {
                 JobSpec spec = JobSpec::base(w, opts);
                 spec.uarch = sweep::parseUarch(cfg);
@@ -114,7 +100,7 @@ main()
     Table cpi({"uarch", "D16 CPI", "DLXe CPI", "CPI D16/DLXe",
                "cycles D16/DLXe", "size DLXe/D16"});
     std::string suiteLabel;
-    for (const std::string &w : suite())
+    for (const std::string &w : sweep::uarchSmokeWorkloads())
         suiteLabel += (suiteLabel.empty() ? "" : ", ") + w;
     cpi.setTitle("suite-aggregate CPI (" + suiteLabel + ")");
     Table branches({"uarch", "variant", "cond branches", "mispredicts",

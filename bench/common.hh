@@ -23,11 +23,11 @@
 
 #include <cstdlib>
 #include <iostream>
-#include <thread>
 
 #include "core/sweep/sweep.hh"
 #include "core/toolchain.hh"
 #include "core/workloads.hh"
+#include "support/parallel.hh"
 #include "support/strings.hh"
 #include "support/table.hh"
 
@@ -40,19 +40,12 @@ using mc::CompileOptions;
 using sweep::JobResult;
 using sweep::JobSpec;
 
-/** The paper's five machine variants (Tables 5-7 column order). */
-inline std::vector<std::pair<std::string, CompileOptions>>
-allVariants()
-{
-    return sweep::paperVariants();
-}
-
 inline int
 defaultJobs()
 {
     if (const char *env = std::getenv("D16SWEEP_JOBS"))
         return std::max(1, std::atoi(env));
-    return std::max(1u, std::thread::hardware_concurrency());
+    return hardwareThreads();
 }
 
 /** The process-wide result store every measurement lands in. */

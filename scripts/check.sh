@@ -147,10 +147,11 @@ if [ "${SKIP_SANITIZE:-0}" != "1" ]; then
     ./build-asan/tools/d16fuzz --corpus tests/corpus --seeds 50 \
         --jobs "$JOBS"
 
-    # The threaded paths (sweep/timing/fuzz worker pools, trace
-    # replay) get a dedicated TSan build: ASan and TSan can't share a
-    # binary, and the single-threaded tier-1 tests would not exercise
-    # the races TSan exists to catch.
+    # The threaded paths (the sweep engine's pool, trace replay, and
+    # the parallelFor loop every check tool and d16fuzz run on) get a
+    # dedicated TSan build: ASan and TSan can't share a binary, and
+    # the single-threaded tier-1 tests would not exercise the races
+    # TSan exists to catch.
     echo "== sanitizers: TSan build =="
     cmake -B build-tsan -S . -DD16SIM_SANITIZE=thread >/dev/null
     cmake --build build-tsan -j "$JOBS"
@@ -164,6 +165,16 @@ if [ "${SKIP_SANITIZE:-0}" != "1" ]; then
 
     echo "== sanitizers: TSan d16fuzz 24-seed burst =="
     ./build-tsan/tools/d16fuzz --seeds 24 --jobs 8
+
+    # The shared check-tool loop: per-unit diagnostics, images and
+    # simulations on 8 workers, then d16lint on one worker per
+    # hardware thread.
+    echo "== sanitizers: TSan d16timing smoke cross-validation, 8 workers =="
+    ./build-tsan/tools/d16timing --smoke --cross-validate --jobs 8 \
+        > /dev/null
+
+    echo "== sanitizers: TSan d16lint --verify-each --cfg =="
+    ./build-tsan/tools/d16lint --verify-each --cfg > /dev/null
 
     # Two engines sharing one artifact store directory, racing under
     # TSan (file locks, atomic puts, shared counters).

@@ -214,37 +214,46 @@ analyzeImageOrThrow(const assem::Image &img,
     panic(os.str());
 }
 
-void
-AnalysisResult::renderJson(std::ostream &os) const
+Json
+AnalysisResult::json() const
 {
-    os << "{\"insns\":" << insnCount << ",\"blocks\":" << blockCount
-       << ",\"edges\":" << edgeCount << ",\"funcs\":" << funcCount
-       << ",\"callEdges\":" << callEdgeCount << ",\"loops\":" << loopCount
-       << ",\"unreachable\":" << unreachableBlocks
-       << ",\"deadFuncs\":" << deadFuncs << ",\"insnBytes\":" << insnBytes
-       << ",\"poolBytes\":" << poolBytes << ",\"dataBytes\":" << dataBytes
-       << ",\"bssBytes\":" << bssBytes << ",\"staticBytes\":" << staticBytes
-       << ",\"maxStack\":" << maxStackBytes
-       << ",\"recursive\":" << (recursive ? "true" : "false")
-       << ",\"findings\":" << findings << ",\"mix\":{";
-    bool first = true;
-    for (int c = 0; c < numOpClasses; ++c) {
-        if (!opClassCounts[c])
-            continue;
-        os << (first ? "" : ",") << "\"" << opClassTag(c)
-           << "\":" << opClassCounts[c];
-        first = false;
+    Json j = Json::object();
+    j["insns"] = insnCount;
+    j["blocks"] = blockCount;
+    j["edges"] = edgeCount;
+    j["funcs"] = funcCount;
+    j["callEdges"] = callEdgeCount;
+    j["loops"] = loopCount;
+    j["unreachable"] = unreachableBlocks;
+    j["deadFuncs"] = deadFuncs;
+    j["insnBytes"] = insnBytes;
+    j["poolBytes"] = poolBytes;
+    j["dataBytes"] = dataBytes;
+    j["bssBytes"] = bssBytes;
+    j["staticBytes"] = staticBytes;
+    j["maxStack"] = maxStackBytes;
+    j["recursive"] = recursive;
+    j["findings"] = findings;
+    Json mix = Json::object();
+    for (int c = 0; c < numOpClasses; ++c)
+        if (opClassCounts[c])
+            mix[std::string(opClassTag(c))] = opClassCounts[c];
+    j["mix"] = std::move(mix);
+    Json funcs = Json::array();
+    for (const FunctionSummary &f : functions) {
+        Json fj = Json::object();
+        fj["name"] = f.name;
+        fj["entry"] = f.entryAddr;
+        fj["blocks"] = f.blocks;
+        fj["insns"] = f.insns;
+        fj["loops"] = f.loops;
+        fj["frame"] = f.frameBytes;
+        fj["depth"] = f.stackDepth;
+        fj["reachable"] = f.reachable;
+        funcs.push(std::move(fj));
     }
-    os << "},\"functions\":[";
-    for (size_t i = 0; i < functions.size(); ++i) {
-        const FunctionSummary &f = functions[i];
-        os << (i ? "," : "") << "{\"name\":\"" << f.name
-           << "\",\"entry\":" << f.entryAddr << ",\"blocks\":" << f.blocks
-           << ",\"insns\":" << f.insns << ",\"loops\":" << f.loops
-           << ",\"frame\":" << f.frameBytes << ",\"depth\":" << f.stackDepth
-           << ",\"reachable\":" << (f.reachable ? "true" : "false") << "}";
-    }
-    os << "]}";
+    j["functions"] = std::move(funcs);
+    return j;
 }
 
 void

@@ -34,6 +34,7 @@
 
 #include "analysis/cfg.hh"
 #include "analysis/dataflow.hh"
+#include "support/json.hh"
 #include "verify/diag.hh"
 
 namespace d16sim::analysis
@@ -94,8 +95,8 @@ struct AnalysisResult
      *  cross-validation. Valid as long as the analyzed image lives. */
     ImageCfg cfg;
 
-    /** Canonical JSON (stable field order; the golden-file format). */
-    void renderJson(std::ostream &os) const;
+    /** The summary as Json (the golden-file format). */
+    Json json() const;
 
     /** Human-readable multi-line summary (d16cfa's default output). */
     void renderText(std::ostream &os) const;

@@ -1052,32 +1052,34 @@ TimingResult::renderText(std::ostream &os) const
     os << "\n";
 }
 
-void
-TimingResult::renderJson(std::ostream &os) const
+Json
+TimingResult::json() const
 {
-    os << "{\"sites\":" << sites.size()
-       << ",\"loadUseSites\":" << loadUseSites
-       << ",\"fpBusySites\":" << fpBusySites
-       << ",\"guaranteedStallSites\":" << guaranteedStallSites
-       << ",\"maybeStallSites\":" << maybeStallSites
-       << ",\"preciseSites\":" << preciseSites
-       << ",\"bubbleSites\":" << bubbleSites
-       << ",\"seqRefillSites\":" << seqRefillSites
-       << ",\"branchRefillSites\":" << branchRefillSites
-       << ",\"staticStallLo\":" << staticStallLo
-       << ",\"staticStallHi\":" << staticStallHi
-       << ",\"boundedLoops\":" << boundedLoops
-       << ",\"unboundedLoops\":" << unboundedLoops;
+    Json j = Json::object();
+    j["sites"] = sites.size();
+    j["loadUseSites"] = loadUseSites;
+    j["fpBusySites"] = fpBusySites;
+    j["guaranteedStallSites"] = guaranteedStallSites;
+    j["maybeStallSites"] = maybeStallSites;
+    j["preciseSites"] = preciseSites;
+    j["bubbleSites"] = bubbleSites;
+    j["seqRefillSites"] = seqRefillSites;
+    j["branchRefillSites"] = branchRefillSites;
+    j["staticStallLo"] = staticStallLo;
+    j["staticStallHi"] = staticStallHi;
+    j["boundedLoops"] = boundedLoops;
+    j["unboundedLoops"] = unboundedLoops;
     // Emitted only off the default machine so the pre-uarch golden
     // documents stay byte-identical.
     if (!opts.uarch.isDefault()) {
-        os << ",\"uarch\":\"" << opts.uarch.key() << "\""
-           << ",\"branchSites\":" << branchSites
-           << ",\"bhtAliasSites\":" << bhtAliasSites
-           << ",\"staticBranchHi\":" << staticBranchHi;
+        j["uarch"] = opts.uarch.key();
+        j["branchSites"] = branchSites;
+        j["bhtAliasSites"] = bhtAliasSites;
+        j["staticBranchHi"] = staticBranchHi;
     }
-    os << ",\"bestCycles\":" << bestCycles
-       << ",\"worstCycles\":" << worstCycles << "}";
+    j["bestCycles"] = bestCycles;
+    j["worstCycles"] = worstCycles;
+    return j;
 }
 
 int

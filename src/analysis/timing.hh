@@ -91,6 +91,7 @@
 #include "sim/machine.hh"
 #include "sim/probe.hh"
 #include "sim/stats.hh"
+#include "support/json.hh"
 #include "verify/diag.hh"
 
 namespace d16sim::analysis
@@ -207,7 +208,7 @@ struct TimingResult
     int64_t staticBranchHi = 0;  //!< summed per-execution branch hi
 
     void renderText(std::ostream &os) const;
-    void renderJson(std::ostream &os) const;
+    Json json() const;
 
     /** "symbol+0x10" style label for a block (hotspot reports). */
     std::string blockLabel(int blockId) const;

@@ -1,7 +1,5 @@
 #include "core/replay/trace.hh"
 
-#include <fstream>
-
 #include "support/bytes.hh"
 #include "support/error.hh"
 
@@ -156,28 +154,6 @@ Trace::deserialize(const std::vector<uint8_t> &bytes)
               " does not match conditional-branch count ",
               t.base.stats.condBranches);
     return t;
-}
-
-void
-Trace::writeFile(const std::string &path) const
-{
-    const std::vector<uint8_t> bytes = serialize();
-    std::ofstream out(path, std::ios::binary);
-    if (!out)
-        fatal("trace: cannot write ", path);
-    out.write(reinterpret_cast<const char *>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-    if (!out)
-        fatal("trace: short write to ", path);
-}
-
-Trace
-Trace::readFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        fatal("trace: cannot read ", path);
-    return deserialize({std::istreambuf_iterator<char>(in), {}});
 }
 
 Trace

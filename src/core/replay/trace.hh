@@ -39,7 +39,6 @@
 #define D16SIM_CORE_REPLAY_TRACE_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/toolchain.hh"
@@ -93,10 +92,6 @@ struct Trace
     /** Parse a serialized trace; FatalError on truncation, bad magic,
      *  or structural corruption. */
     static Trace deserialize(const std::vector<uint8_t> &bytes);
-
-    /** File convenience wrappers around (de)serialize. */
-    void writeFile(const std::string &path) const;
-    static Trace readFile(const std::string &path);
 };
 
 /**

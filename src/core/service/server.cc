@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstring>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include <sys/socket.h>
@@ -16,6 +15,7 @@
 #include "core/sweep/artifacts.hh"
 #include "support/error.hh"
 #include "support/framing.hh"
+#include "support/parallel.hh"
 
 namespace d16sim::core::service
 {
@@ -219,51 +219,47 @@ SweepServer::handleSweep(int fd, const Json &request)
     std::string firstError;
     if (fresh) {
         std::mutex aggMutex;
-        std::vector<std::thread> workers;
-        for (std::vector<sweep::JobSpec> &lane : lanes) {
+        // One thread per lane; the lanes run concurrently.
+        parallelFor(lanes.size(), cfg_.shards, [&](size_t i) {
+            std::vector<sweep::JobSpec> &lane = lanes[i];
             if (lane.empty())
-                continue;
-            workers.emplace_back([this, &lane, &send, &aggMutex, &total,
-                                  &firstError, replay, blockEngine] {
-                try {
-                    sweep::SweepEngine engine(results_, cfg_.jobs);
-                    engine.setReplay(replay);
-                    engine.setBlockEngine(blockEngine);
-                    engine.setArtifacts(artifacts_.get());
-                    engine.setResultCallback(send);
-                    engine.add(std::move(lane));
-                    engine.run();
-                    const sweep::SweepTiming &t = engine.timing();
-                    std::lock_guard<std::mutex> guard(aggMutex);
-                    total.threads += t.threads;
-                    total.executedRuns += t.executedRuns;
-                    total.executedBuilds += t.executedBuilds;
-                    total.dedupedRuns += t.dedupedRuns;
-                    total.cachedRuns += t.cachedRuns;
-                    total.replayedRuns += t.replayedRuns;
-                    total.capturedTraces += t.capturedTraces;
-                    total.storeResultHits += t.storeResultHits;
-                    total.storeImageHits += t.storeImageHits;
-                    total.storeTraceHits += t.storeTraceHits;
-                    total.storeMisses += t.storeMisses;
-                    total.simulatedInstructions +=
-                        t.simulatedInstructions;
-                    // Lanes run concurrently: wall is the slowest lane,
-                    // busy time sums.
-                    total.wallSeconds =
-                        std::max(total.wallSeconds, t.wallSeconds);
-                    total.buildSeconds += t.buildSeconds;
-                    total.simulateSeconds += t.simulateSeconds;
-                    total.replaySeconds += t.replaySeconds;
-                } catch (const Error &e) {
-                    std::lock_guard<std::mutex> guard(aggMutex);
-                    if (firstError.empty())
-                        firstError = e.what();
-                }
-            });
-        }
-        for (std::thread &t : workers)
-            t.join();
+                return;
+            try {
+                sweep::SweepEngine engine(results_, cfg_.jobs);
+                engine.setReplay(replay);
+                engine.setBlockEngine(blockEngine);
+                engine.setArtifacts(artifacts_.get());
+                engine.setResultCallback(send);
+                engine.add(std::move(lane));
+                engine.run();
+                const sweep::SweepTiming &t = engine.timing();
+                std::lock_guard<std::mutex> guard(aggMutex);
+                total.threads += t.threads;
+                total.executedRuns += t.executedRuns;
+                total.executedBuilds += t.executedBuilds;
+                total.dedupedRuns += t.dedupedRuns;
+                total.cachedRuns += t.cachedRuns;
+                total.replayedRuns += t.replayedRuns;
+                total.capturedTraces += t.capturedTraces;
+                total.storeResultHits += t.storeResultHits;
+                total.storeImageHits += t.storeImageHits;
+                total.storeTraceHits += t.storeTraceHits;
+                total.storeMisses += t.storeMisses;
+                total.simulatedInstructions +=
+                    t.simulatedInstructions;
+                // Lanes run concurrently: wall is the slowest lane,
+                // busy time sums.
+                total.wallSeconds =
+                    std::max(total.wallSeconds, t.wallSeconds);
+                total.buildSeconds += t.buildSeconds;
+                total.simulateSeconds += t.simulateSeconds;
+                total.replaySeconds += t.replaySeconds;
+            } catch (const Error &e) {
+                std::lock_guard<std::mutex> guard(aggMutex);
+                if (firstError.empty())
+                    firstError = e.what();
+            }
+        });
     }
 
     Json frame = Json::object();

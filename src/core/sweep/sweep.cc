@@ -793,24 +793,31 @@ smokeBaseMatrix()
     return jobs;
 }
 
-std::vector<JobSpec>
-uarchSmokeMatrix()
+std::vector<std::string>
+uarchSmokeConfigs()
 {
-    // The six non-default machines: each axis alone, a deliberately
-    // tiny (4-entry) BHT to exercise aliasing, and everything on.
-    const std::vector<std::string> configs = {
+    return {
         "fwd=on",  "bp=static", "bp=bimodal6",
         "bp=bimodal2", "depth=7", "fwd=on,bp=bimodal6,depth=7",
     };
-    const std::vector<std::string> names = {"bubblesort", "queens",
-                                            "towers"};
+}
+
+std::vector<std::string>
+uarchSmokeWorkloads()
+{
+    return {"bubblesort", "queens", "towers"};
+}
+
+std::vector<JobSpec>
+uarchSmokeMatrix()
+{
     const std::vector<mc::CompileOptions> variants = {
         mc::CompileOptions::d16(), mc::CompileOptions::dlxe()};
 
     std::vector<JobSpec> jobs;
-    for (const std::string &name : names) {
+    for (const std::string &name : uarchSmokeWorkloads()) {
         for (const mc::CompileOptions &opts : variants) {
-            for (const std::string &cfg : configs) {
+            for (const std::string &cfg : uarchSmokeConfigs()) {
                 JobSpec s = JobSpec::base(name, opts);
                 s.uarch = parseUarch(cfg);
                 jobs.push_back(std::move(s));

@@ -227,6 +227,14 @@ std::vector<JobSpec> smokeMatrix();
  */
 std::vector<JobSpec> smokeBaseMatrix();
 
+/** The six non-default machines of uarchSmokeMatrix(), as
+ *  parseUarch() keys: each axis alone, a deliberately tiny (4-entry)
+ *  BHT to exercise aliasing, and everything on. */
+std::vector<std::string> uarchSmokeConfigs();
+
+/** The three workloads uarchSmokeMatrix() runs them on. */
+std::vector<std::string> uarchSmokeWorkloads();
+
 /**
  * The microarchitectural sweep (DESIGN.md §16): three workloads x two
  * machine variants x six non-default uarch configurations (forwarding,

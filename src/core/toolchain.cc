@@ -8,6 +8,15 @@ namespace d16sim::core
 {
 
 assem::Image
+link(std::string_view source, const mc::CompileOptions &opts)
+{
+    mc::CompileResult comp = mc::compile(source, opts);
+    assem::Assembler as(opts.target());
+    as.add(std::move(comp.items));
+    return as.link();
+}
+
+assem::Image
 build(std::string_view source, const mc::CompileOptions &opts)
 {
     // Verification is always on in debug builds; release builds (where
@@ -23,10 +32,7 @@ build(std::string_view source, const mc::CompileOptions &opts)
     if (effective.validateEach && !effective.validator)
         verify::installTranslationValidator(effective);
 
-    mc::CompileResult comp = mc::compile(source, effective);
-    assem::Assembler as(opts.target());
-    as.add(std::move(comp.items));
-    assem::Image img = as.link();
+    assem::Image img = link(source, effective);
     if (verifying) {
         verify::lintImageOrThrow(img, std::string(opts.name()));
         analysis::analyzeImageOrThrow(img, opts, std::string(opts.name()));

@@ -19,7 +19,16 @@
 namespace d16sim::core
 {
 
-/** Compile + assemble + link one program for one machine variant. */
+/** Compile + assemble + link one program for one machine variant,
+ *  with no checks of its own: whatever opts.verifyHook/validator do is
+ *  all the verification that runs. The static-check tools call this
+ *  and collect diagnostics themselves. */
+assem::Image link(std::string_view source, const mc::CompileOptions &opts);
+
+/** link() behind the verification gates: the IR verifier (debug
+ *  builds, or opts.verifyEach), per-pass translation validation
+ *  (opts.validateEach), and the post-link image lint and binary CFG
+ *  analysis, each throwing on a finding. */
 assem::Image build(std::string_view source,
                    const mc::CompileOptions &opts);
 

@@ -296,8 +296,17 @@ class Parser
     {
         skipWs();
         switch (peek()) {
-          case '{': return object();
-          case '[': return array();
+          case '{':
+          case '[': {
+            // A failed parse throws, so depth_ only needs unwinding on
+            // success.
+            if (++depth_ > kMaxDepth)
+                fail("nesting deeper than " + std::to_string(kMaxDepth) +
+                     " levels");
+            Json v = peek() == '{' ? object() : array();
+            --depth_;
+            return v;
+          }
           case '"': return Json(string());
           case 't':
             if (!consume("true"))
@@ -455,8 +464,14 @@ class Parser
         return Json(d);
     }
 
+    /** Recursion bound: our deepest emitted document nests about five
+     *  levels, and untrusted input (socket frames, store rows) must not
+     *  be able to exhaust the stack. */
+    static constexpr int kMaxDepth = 256;
+
     std::string_view text_;
     size_t pos_ = 0;
+    int depth_ = 0;
 };
 
 } // namespace

@@ -74,65 +74,30 @@ DiagEngine::renderText(std::ostream &os) const
         os << format(d) << "\n";
 }
 
-namespace
+Json
+DiagEngine::json() const
 {
-
-void
-jsonString(std::ostream &os, const std::string &s)
-{
-    os << '"';
-    for (char c : s) {
-        switch (c) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                snprintf(buf, sizeof(buf), "\\u%04x", c);
-                os << buf;
-            } else {
-                os << c;
-            }
-        }
-    }
-    os << '"';
-}
-
-} // namespace
-
-void
-DiagEngine::renderJson(std::ostream &os) const
-{
-    os << "[";
-    for (size_t i = 0; i < diags_.size(); ++i) {
-        const Diag &d = diags_[i];
-        os << (i ? ",\n " : "\n ");
-        os << "{\"severity\":";
-        jsonString(os, std::string(severityName(d.severity)));
-        os << ",\"code\":";
-        jsonString(os, d.code);
-        os << ",\"unit\":";
-        jsonString(os, d.unit);
+    Json out = Json::array();
+    for (const Diag &d : diags_) {
+        Json j = Json::object();
+        j["severity"] = std::string(severityName(d.severity));
+        j["code"] = d.code;
+        j["unit"] = d.unit;
         if (d.hasAddr)
-            os << ",\"addr\":" << d.addr;
-        if (!d.symbol.empty()) {
-            os << ",\"symbol\":";
-            jsonString(os, d.symbol);
-        }
+            j["addr"] = d.addr;
+        if (!d.symbol.empty())
+            j["symbol"] = d.symbol;
         if (d.block >= 0) {
-            os << ",\"block\":" << d.block;
+            j["block"] = d.block;
             if (d.inst >= 0)
-                os << ",\"inst\":" << d.inst;
+                j["inst"] = d.inst;
         }
         if (d.line > 0)
-            os << ",\"line\":" << d.line;
-        os << ",\"message\":";
-        jsonString(os, d.message);
-        os << "}";
+            j["line"] = d.line;
+        j["message"] = d.message;
+        out.push(std::move(j));
     }
-    os << (diags_.empty() ? "]" : "\n]") << "\n";
+    return out;
 }
 
 } // namespace d16sim::verify

@@ -8,8 +8,8 @@
  * human message, and whatever location coordinates the producing layer
  * has — IR block/instruction indices for the verifier, image addresses
  * plus assembler source lines and the nearest preceding symbol for the
- * linter. Output is either human-readable text or line-oriented JSON so
- * CI can diff lint results across revisions (scripts/check.sh).
+ * linter. Output is either human-readable text or a Json array so CI
+ * can diff lint results across revisions (scripts/check.sh).
  */
 
 #ifndef D16SIM_VERIFY_DIAG_HH
@@ -19,6 +19,8 @@
 #include <ostream>
 #include <string>
 #include <vector>
+
+#include "support/json.hh"
 
 namespace d16sim::verify
 {
@@ -83,8 +85,9 @@ class DiagEngine
     /** Render all diagnostics, one per line, human-readable. */
     void renderText(std::ostream &os) const;
 
-    /** Render as a JSON array (stable field order, sorted input order). */
-    void renderJson(std::ostream &os) const;
+    /** One object per diagnostic, in report order; unset location
+     *  fields are omitted. */
+    Json json() const;
 
     /** Text rendering of one diagnostic (also used in exceptions). */
     static std::string format(const Diag &d);

@@ -36,6 +36,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "mc/options.hh"
@@ -86,11 +87,14 @@ struct PassStats
 std::shared_ptr<mc::PassValidator> makeThrowingValidator();
 
 /** Validator that records findings into a DiagEngine and accumulates
- *  per-pass statistics; what d16tv drives. */
+ *  per-pass statistics; what d16tv drives. With a `passFilter`, only
+ *  passes whose name contains it are checked. */
 class CollectingValidator : public mc::PassValidator
 {
   public:
-    explicit CollectingValidator(DiagEngine &de) : de_(de) {}
+    explicit CollectingValidator(DiagEngine &de, std::string passFilter = {})
+        : de_(de), filter_(std::move(passFilter))
+    {}
 
     void afterIrPass(const mc::IrFunction &before,
                      const mc::IrFunction &after, const char *pass,
@@ -109,10 +113,17 @@ class CollectingValidator : public mc::PassValidator
     }
 
   private:
+    bool
+    wanted(std::string_view pass) const
+    {
+        return pass.find(filter_) != std::string_view::npos;
+    }
+
     void record(const char *pass, std::optional<Diag> d,
                 int64_t micros);
 
     DiagEngine &de_;
+    std::string filter_;
     std::map<std::string, PassStats> stats_;
 };
 

@@ -73,6 +73,8 @@ CollectingValidator::afterIrPass(const mc::IrFunction &before,
                                  const char *pass,
                                  const mc::MachineEnv *env)
 {
+    if (!wanted(pass))
+        return;
     const auto t0 = std::chrono::steady_clock::now();
     auto d = checkIrPass(before, after, pass, env);
     record(pass, std::move(d), microsSince(t0));
@@ -84,6 +86,8 @@ CollectingValidator::afterRegalloc(const mc::IrFunction &before,
                                    const mc::Allocation &alloc,
                                    const mc::MachineEnv &env)
 {
+    if (!wanted("regalloc"))
+        return;
     const auto t0 = std::chrono::steady_clock::now();
     auto d = checkRegalloc(before, after, alloc, env);
     record("regalloc", std::move(d), microsSince(t0));
@@ -94,6 +98,8 @@ CollectingValidator::afterSchedule(const std::vector<assem::AsmItem> &before,
                                    const std::vector<assem::AsmItem> &after,
                                    const mc::MachineEnv &env)
 {
+    if (!wanted("sched"))
+        return;
     const auto t0 = std::chrono::steady_clock::now();
     auto d = checkSchedule(before, after, env);
     record("sched", std::move(d), microsSince(t0));

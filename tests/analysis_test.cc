@@ -329,10 +329,7 @@ namespace
 Json
 analyzeUnitJson(const core::Workload &w, mc::CompileOptions opts)
 {
-    mc::CompileResult comp = mc::compile(w.source, opts);
-    assem::Assembler as(opts.target());
-    as.add(std::move(comp.items));
-    const assem::Image img = as.link();
+    const assem::Image img = core::link(w.source, opts);
 
     verify::DiagEngine diags;
     const AnalysisResult r = analyzeImage(img, diags, Abi::from(opts));
@@ -340,9 +337,7 @@ analyzeUnitJson(const core::Workload &w, mc::CompileOptions opts)
         << w.name << "/" << opts.name() << "/O" << opts.optLevel
         << ": analyzer reported failures on toolchain output";
 
-    std::ostringstream os;
-    r.renderJson(os);
-    return Json::parse(os.str());
+    return r.json();
 }
 
 } // namespace

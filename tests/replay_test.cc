@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <map>
 #include <vector>
 
@@ -242,16 +241,6 @@ TEST(TraceFormat, SerializeDeserializeRoundTripsByteExactly)
         // Re-serializing the parsed trace reproduces the bytes.
         EXPECT_EQ(back.serialize(), bytes);
     }
-}
-
-TEST(TraceFormat, FileRoundTrip)
-{
-    const Trace t = captureProgram(CompileOptions::d16());
-    const std::string path = ::testing::TempDir() + "replay_test.d16t";
-    t.writeFile(path);
-    const Trace back = Trace::readFile(path);
-    EXPECT_EQ(back.serialize(), t.serialize());
-    std::remove(path.c_str());
 }
 
 // ----- format v3: capture uarch + branch outcomes ----------------------

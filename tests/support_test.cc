@@ -1,17 +1,23 @@
 /**
  * @file
- * Unit tests for the support substrate (bits, strings, table, error).
+ * Unit tests for the support substrate (bits, strings, table, error,
+ * json, parallel).
  */
 
 #include <gtest/gtest.h>
 
 #include "support/bits.hh"
 #include "support/error.hh"
+#include "support/json.hh"
+#include "support/parallel.hh"
 #include "support/strings.hh"
 #include "support/table.hh"
 #include "support/wrap32.hh"
 
+#include <atomic>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace
@@ -118,6 +124,56 @@ TEST(Error, FatalAndPanic)
     }
     EXPECT_NO_THROW(panicIf(false, "ok"));
     EXPECT_THROW(panicIf(true, "no"), PanicError);
+}
+
+TEST(Json, NestingDepthIsBounded)
+{
+    // 256 levels is the limit; our own documents nest about five.
+    const std::string ok = std::string(256, '[') + std::string(256, ']');
+    EXPECT_EQ(Json::parse(ok).dump(), ok);
+    EXPECT_THROW(Json::parse(std::string(257, '[') + std::string(257, ']')),
+                 FatalError);
+    std::string objects;
+    for (int i = 0; i < 300; ++i)
+        objects += "{\"a\":";
+    objects += "1" + std::string(300, '}');
+    EXPECT_THROW(Json::parse(objects), FatalError);
+    // Must fail cleanly rather than exhaust the stack.
+    EXPECT_THROW(Json::parse(std::string(10'000'000, '[')), FatalError);
+}
+
+TEST(Parallel, RunsEveryIndexOnce)
+{
+    for (int threads : {0, 1, 3, 64}) {
+        std::vector<std::atomic<int>> hits(100);
+        parallelFor(hits.size(), threads, [&](size_t i) { ++hits[i]; });
+        for (const std::atomic<int> &h : hits)
+            EXPECT_EQ(h.load(), 1) << threads << " threads";
+    }
+    bool called = false;
+    parallelFor(0, 4, [&](size_t) { called = true; });
+    EXPECT_FALSE(called);
+}
+
+TEST(Parallel, RethrowsAfterJoining)
+{
+    std::atomic<int> running{0};
+    try {
+        parallelFor(1000, 4, [&](size_t i) {
+            ++running;
+            if (i == 10)
+                fatal("index ", i);
+            --running;
+        });
+        ADD_FAILURE() << "no exception";
+    } catch (const FatalError &e) {
+        EXPECT_STREQ(e.what(), "index 10");
+    }
+    // Every call had returned or thrown before parallelFor did.
+    EXPECT_EQ(running.load(), 1);
+    EXPECT_THROW(parallelFor(5, 2,
+                             [](size_t) { throw std::logic_error("x"); }),
+                 std::logic_error);
 }
 
 TEST(Table, Renders)

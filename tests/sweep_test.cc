@@ -27,6 +27,7 @@
 
 #include <cstring>
 #include <fstream>
+#include <set>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -299,6 +300,41 @@ TEST(Sweep, CompareSweepsCatchesUarchDrift)
     a["results"]["perm|D16"]["run"]["instructions"] = Json(int64_t{1});
     const std::string dumped = a.dump();
     EXPECT_LT(dumped.find("\"perm|D16\""), dumped.find("\"perm|D16|uarch:"));
+}
+
+TEST(Sweep, MutatedDocumentParsesOrFailsCleanly)
+{
+    // Json::parse reads untrusted bytes (d16sweepd frames, store rows):
+    // every prefix and every single-bit flip of a canonical smoke
+    // document must parse or throw FatalError, never crash. One job of
+    // each probe kind keeps the document, and this quadratic loop,
+    // small.
+    sweep::ResultStore sample;
+    std::set<sweep::ProbeKind> kinds;
+    for (const std::string &key : smokeStore().keys()) {
+        const sweep::JobResult &r = smokeStore().at(key);
+        if (kinds.insert(r.probe).second)
+            sample.put(key, r);
+    }
+    ASSERT_EQ(kinds.size(), 4u);
+    const std::string doc = sweep::sweepJson(sample, nullptr).dump();
+    EXPECT_EQ(Json::parse(doc).dump(), doc);
+
+    auto parseOrFail = [](const std::string &text) {
+        try {
+            Json::parse(text);
+        } catch (const FatalError &) {
+        }
+    };
+    for (size_t n = 0; n < doc.size(); ++n)
+        parseOrFail(doc.substr(0, n));
+    for (size_t i = 0; i < doc.size(); ++i) {
+        for (int bit = 0; bit < 8; ++bit) {
+            std::string flipped = doc;
+            flipped[i] = static_cast<char>(flipped[i] ^ (1 << bit));
+            parseOrFail(flipped);
+        }
+    }
 }
 
 int

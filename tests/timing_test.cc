@@ -28,12 +28,10 @@
  * and review the diff like any other source change.
  */
 
-#include <atomic>
 #include <cstring>
 #include <fstream>
 #include <mutex>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -48,6 +46,7 @@
 #include "sim/machine.hh"
 #include "support/error.hh"
 #include "support/json.hh"
+#include "support/parallel.hh"
 
 using namespace d16sim;
 using namespace d16sim::analysis;
@@ -495,53 +494,41 @@ TEST(Gate, FullMatrixCrossValidation)
                 jobs.push_back(std::move(j));
             }
 
-    std::atomic<size_t> next{0};
     std::mutex mu;
     std::vector<std::string> failures;
-    auto worker = [&] {
-        for (size_t i = next.fetch_add(1); i < jobs.size();
-             i = next.fetch_add(1)) {
-            const Job &j = jobs[i];
-            std::string failure;
-            try {
-                const assem::Image img =
-                    core::build(j.workload->source, j.opts);
-                const ImageCfg cfg = buildCfg(img);
-                verify::DiagEngine diags;
-                diags.setUnit(j.name);
-                TimingOptions topts;
-                topts.siteDiags = false;
-                const TimingResult timing =
-                    analyzeTiming(cfg, diags, topts);
+    parallelFor(jobs.size(), std::max(2, hardwareThreads()), [&](size_t i) {
+        const Job &j = jobs[i];
+        std::string failure;
+        try {
+            const assem::Image img =
+                core::build(j.workload->source, j.opts);
+            const ImageCfg cfg = buildCfg(img);
+            verify::DiagEngine diags;
+            diags.setUnit(j.name);
+            TimingOptions topts;
+            topts.siteDiags = false;
+            const TimingResult timing = analyzeTiming(cfg, diags, topts);
 
-                StallProbe probe;
-                sim::Machine m(img);
-                m.addProbe(&probe);
-                m.run();
-                const int findings = crossValidateTiming(
-                    timing, probe, m.stats(), diags);
-                if (findings != 0 || diags.failures() != 0) {
-                    std::ostringstream os;
-                    os << j.name << ": " << findings << " findings\n";
-                    diags.renderText(os);
-                    failure = os.str();
-                }
-            } catch (const Error &e) {
-                failure = j.name + ": exception: " + e.what();
+            StallProbe probe;
+            sim::Machine m(img);
+            m.addProbe(&probe);
+            m.run();
+            const int findings =
+                crossValidateTiming(timing, probe, m.stats(), diags);
+            if (findings != 0 || diags.failures() != 0) {
+                std::ostringstream os;
+                os << j.name << ": " << findings << " findings\n";
+                diags.renderText(os);
+                failure = os.str();
             }
-            if (!failure.empty()) {
-                std::lock_guard<std::mutex> lock(mu);
-                failures.push_back(std::move(failure));
-            }
+        } catch (const Error &e) {
+            failure = j.name + ": exception: " + e.what();
         }
-    };
-    const unsigned hw = std::max(2u, std::thread::hardware_concurrency());
-    std::vector<std::thread> pool;
-    for (unsigned t = 1; t < hw; ++t)
-        pool.emplace_back(worker);
-    worker();
-    for (std::thread &t : pool)
-        t.join();
+        if (!failure.empty()) {
+            std::lock_guard<std::mutex> lock(mu);
+            failures.push_back(std::move(failure));
+        }
+    });
 
     for (const std::string &f : failures)
         ADD_FAILURE() << f;
@@ -610,9 +597,7 @@ timingUnitJson(const core::Workload &w, const mc::CompileOptions &opts)
     const mc::SchedFeedback fb = schedFeedback(timing, diags);
 
     Json j = Json::object();
-    std::ostringstream os;
-    timing.renderJson(os);
-    j["timing"] = Json::parse(os.str());
+    j["timing"] = timing.json();
     Json f = Json::object();
     f["residualLoadUse"] = Json(int64_t{fb.loadUseSites});
     f["avoidableLoadUse"] = Json(int64_t{fb.avoidableSites});

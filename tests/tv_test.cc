@@ -174,6 +174,25 @@ TEST(Tv, WorkloadsValidateClean)
     }
 }
 
+TEST(Tv, PassFilterLimitsCheckedPasses)
+{
+    // d16tv --pass: only passes whose name contains the filter run.
+    for (const char *filter : {"licm", "regalloc", "sched", "opt:"}) {
+        verify::DiagEngine de;
+        auto collect = std::make_shared<verify::tv::CollectingValidator>(
+            de, filter);
+        CompileOptions opts = CompileOptions::d16();
+        opts.validateEach = true;
+        opts.validator = collect;
+        mc::compile(core::workload("towers").source, opts);
+        ASSERT_FALSE(collect->stats().empty()) << filter;
+        for (const auto &[pass, s] : collect->stats()) {
+            EXPECT_NE(pass.find(filter), std::string::npos) << pass;
+            EXPECT_GT(s.checks, 0) << pass;
+        }
+    }
+}
+
 TEST(Tv, ValidatorsAreInstallable)
 {
     // The seam core::build uses: validateEach with no explicit

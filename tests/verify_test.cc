@@ -18,6 +18,7 @@
 #include <sstream>
 
 #include "asm/assembler.hh"
+#include "core/toolchain.hh"
 #include "core/workloads.hh"
 #include "isa/codec.hh"
 #include "isa/reconstruct.hh"
@@ -68,10 +69,7 @@ compileVerified(const core::Workload &w, mc::CompileOptions opts,
     };
     diags.setUnit(w.name + "/" + opts.name());
 
-    mc::CompileResult comp = mc::compile(w.source, opts);
-    assem::Assembler as(opts.target());
-    as.add(std::move(comp.items));
-    return as.link();
+    return core::link(w.source, opts);
 }
 
 TEST(WorkloadsClean, VerifyAndLintBothTargets)
@@ -509,6 +507,39 @@ TEST(McLintNegative, LoadUseInterlockIsANoteOnly)
     EXPECT_TRUE(perf.has("mc-load-use-interlock"));
     EXPECT_EQ(perf.notes(), 1);
     EXPECT_EQ(perf.failures(), 0);  // hardware interlocks; legal code
+}
+
+TEST(Diag, JsonKeepsSetFieldsAndEscapesText)
+{
+    verify::DiagEngine de;
+    de.setUnit("towers/D16");
+    de.error("ir-use-before-def", "say \"hi\"\n\tnow");
+    verify::Diag located;
+    located.severity = verify::Severity::Note;
+    located.code = "mc-load-use-interlock";
+    located.message = "m";
+    located.unit = "u";
+    located.symbol = "main";
+    located.addr = 4096;
+    located.hasAddr = true;
+    located.line = 7;
+    located.block = 2;
+    located.inst = 3;
+    de.report(located);
+
+    const Json j = de.json();
+    ASSERT_EQ(j.size(), 2u);
+    // Unset location fields are omitted.
+    EXPECT_EQ(j.items()[0].dump(),
+              "{\"code\":\"ir-use-before-def\",\"message\":"
+              "\"say \\\"hi\\\"\\n\\tnow\",\"severity\":\"error\","
+              "\"unit\":\"towers/D16\"}");
+    EXPECT_EQ(j.items()[1].dump(),
+              "{\"addr\":4096,\"block\":2,\"code\":"
+              "\"mc-load-use-interlock\",\"inst\":3,\"line\":7,"
+              "\"message\":\"m\",\"severity\":\"note\",\"symbol\":"
+              "\"main\",\"unit\":\"u\"}");
+    EXPECT_EQ(Json::parse(j.dump()).dump(), j.dump());
 }
 
 } // namespace

@@ -33,7 +33,6 @@
 #include <mutex>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "analysis/xvalidate.hh"
@@ -41,6 +40,7 @@
 #include "fuzz/fuzz.hh"
 #include "mc/compiler.hh"
 #include "support/cli.hh"
+#include "support/parallel.hh"
 
 namespace
 {
@@ -51,8 +51,7 @@ struct Args
 {
     int seeds = 200;
     int seedBase = 1;
-    int jobs = static_cast<int>(
-        std::max(1u, std::thread::hardware_concurrency()));
+    int jobs = hardwareThreads();
     bool minimize = false;
     std::string corpus;
     int dumpSeed = -1;
@@ -173,45 +172,31 @@ main(int argc, char **argv)
         status = replayCorpus(args.corpus);
 
     if (args.seeds > 0) {
-        std::atomic<int> nextIndex{0};
         std::atomic<int> agreeCount{0};
         std::atomic<int> skipCount{0};
         std::mutex mu;
         std::vector<Finding> findings;
 
-        auto worker = [&] {
-            for (;;) {
-                const int i = nextIndex.fetch_add(1);
-                if (i >= args.seeds)
-                    return;
-                const uint64_t seed =
-                    static_cast<uint64_t>(args.seedBase) +
-                    static_cast<uint64_t>(i);
-                const std::string src = fuzz::generateProgram(seed);
-                const fuzz::DiffOutcome out =
-                    fuzz::runDifferential(src);
-                switch (out.kind) {
-                  case fuzz::DiffKind::Agree:
-                    agreeCount.fetch_add(1);
-                    break;
-                  case fuzz::DiffKind::Skip:
-                    skipCount.fetch_add(1);
-                    break;
-                  case fuzz::DiffKind::Divergence: {
-                    std::lock_guard<std::mutex> lock(mu);
-                    findings.push_back({seed, src, out});
-                    break;
-                  }
-                }
+        parallelFor(static_cast<size_t>(args.seeds), args.jobs,
+                    [&](size_t i) {
+            const uint64_t seed =
+                static_cast<uint64_t>(args.seedBase) + i;
+            const std::string src = fuzz::generateProgram(seed);
+            const fuzz::DiffOutcome out = fuzz::runDifferential(src);
+            switch (out.kind) {
+              case fuzz::DiffKind::Agree:
+                agreeCount.fetch_add(1);
+                break;
+              case fuzz::DiffKind::Skip:
+                skipCount.fetch_add(1);
+                break;
+              case fuzz::DiffKind::Divergence: {
+                std::lock_guard<std::mutex> lock(mu);
+                findings.push_back({seed, src, out});
+                break;
+              }
             }
-        };
-        std::vector<std::thread> pool;
-        const int n = std::max(1, std::min(args.jobs, args.seeds));
-        pool.reserve(static_cast<size_t>(n));
-        for (int i = 0; i < n; ++i)
-            pool.emplace_back(worker);
-        for (std::thread &t : pool)
-            t.join();
+        });
 
         std::sort(findings.begin(), findings.end(),
                   [](const Finding &a, const Finding &b) {

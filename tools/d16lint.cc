@@ -4,11 +4,12 @@
  *
  * Compiles workloads for the selected targets with the IR verifier
  * hooked into every pipeline stage, links them, and runs the
- * machine-code linter over the images. Diagnostics go to stdout as
- * text, or as JSON (--json) for CI diffing.
+ * machine-code linter over the images, checking units in parallel.
+ * Diagnostics go to stdout in unit order as text, or as a JSON array
+ * (--json) for CI diffing.
  *
  *   d16lint                      lint every workload, both targets
- *   d16lint perm queens          lint specific workloads
+ *   d16lint towers queens        lint specific workloads
  *   d16lint --isa d16 --opt 0    one target, unoptimized code
  *   d16lint --verify-each        verify after every optimization pass
  *   d16lint --cfg                also run the binary CFG analyzer
@@ -17,17 +18,12 @@
  * Exit status: 0 = clean, 1 = diagnostics reported, 2 = build failure.
  */
 
-#include <cstdio>
 #include <iostream>
-#include <string>
 #include <vector>
 
 #include "analysis/analysis.hh"
-#include "asm/assembler.hh"
-#include "core/workloads.hh"
-#include "mc/compiler.hh"
-#include "support/cli.hh"
-#include "support/error.hh"
+#include "check_driver.hh"
+#include "core/toolchain.hh"
 #include "verify/verify.hh"
 
 namespace
@@ -37,50 +33,34 @@ using namespace d16sim;
 
 struct Args
 {
-    std::vector<std::string> workloads;  //!< empty = all
-    bool d16 = true;
-    bool dlxe = true;
-    int optLevel = 2;
+    tools::UnitArgs units;
     bool verifyEach = false;
     bool json = false;
     bool perf = false;
     bool cfg = false;
 };
 
-/** Compile + link one workload for one variant, collecting diagnostics
- *  instead of throwing. Returns false on a build failure. */
-bool
-lintOne(const core::Workload &w, mc::CompileOptions opts, const Args &args,
-        verify::DiagEngine &diags)
+/** Compile + link one unit with the IR verifier reporting into the
+ *  unit's diagnostics, then lint (and optionally CFG-analyze) the
+ *  image. */
+void
+lintUnit(tools::CheckUnit &u, const Args &args)
 {
-    opts.optLevel = args.optLevel;
+    mc::CompileOptions opts = u.opts;
     opts.verifyEach = args.verifyEach;
-    opts.verifyHook = [&diags](const mc::IrFunction &fn, const char *stage,
-                               const mc::MachineEnv *env) {
+    opts.verifyHook = [&u](const mc::IrFunction &fn, const char *stage,
+                           const mc::MachineEnv *env) {
         verify::IrVerifyOptions vo;
         vo.env = env;
         vo.stage = stage;
-        verify::verifyIr(fn, diags, vo);
+        verify::verifyIr(fn, u.diags, vo);
     };
-    diags.setUnit(w.name + "/" + opts.name());
-
-    try {
-        mc::CompileResult comp = mc::compile(w.source, opts);
-        assem::Assembler as(opts.target());
-        as.add(std::move(comp.items));
-        const assem::Image img = as.link();
-        verify::LintOptions lo;
-        lo.perfNotes = args.perf;
-        verify::lintImage(img, diags, lo);
-        if (args.cfg)
-            analysis::analyzeImage(img, diags,
-                                   analysis::Abi::from(opts));
-    } catch (const Error &e) {
-        std::fprintf(stderr, "d16lint: %s/%s: build failed: %s\n",
-                     w.name.c_str(), opts.name().c_str(), e.what());
-        return false;
-    }
-    return true;
+    const assem::Image img = core::link(u.workload->source, opts);
+    verify::LintOptions lo;
+    lo.perfNotes = args.perf;
+    verify::lintImage(img, u.diags, lo);
+    if (args.cfg)
+        analysis::analyzeImage(img, u.diags, analysis::Abi::from(opts));
 }
 
 } // namespace
@@ -93,71 +73,39 @@ main(int argc, char **argv)
                     "[--isa d16|dlxe|both] [--opt 0|1|2] [--verify-each]\n"
                     "       [--cfg] [--perf] [--json] [--list] "
                     "[workload...]");
-    parser.value("--isa", [&](const std::string &v) {
-        args.d16 = v == "d16" || v == "both";
-        args.dlxe = v == "dlxe" || v == "both";
-        return args.d16 || args.dlxe;
-    });
-    parser.intValue("--opt", &args.optLevel);
+    tools::addIsaFlags(parser, args.units);
+    tools::addWorkloadFlags(parser, args.units);
     parser.flag("--verify-each", &args.verifyEach);
     parser.flag("--json", &args.json);
     parser.flag("--perf", &args.perf);
     parser.flag("--cfg", &args.cfg);
-    parser.flag("--list", [] {
-        for (const core::Workload &w : core::workloadSuite())
-            std::printf("%s\n", w.name.c_str());
-        std::exit(0);
-    });
-    parser.positionals(&args.workloads);
     switch (parser.parse(argc, argv)) {
       case cli::CliStatus::Help: return 0;
       case cli::CliStatus::Error: return 2;
       case cli::CliStatus::Ok: break;
     }
 
-    std::vector<const core::Workload *> suite;
-    try {
-        if (args.workloads.empty()) {
-            for (const core::Workload &w : core::workloadSuite())
-                suite.push_back(&w);
-        } else {
-            for (const std::string &name : args.workloads)
-                suite.push_back(&core::workload(name));
-        }
-    } catch (const Error &e) {
-        std::fprintf(stderr, "d16lint: %s\n", e.what());
+    std::vector<tools::CheckUnit> units;
+    if (!tools::unitMatrix("d16lint", args.units.workloads,
+                           args.units.variants(), units))
         return 2;
-    }
+    const bool built = tools::checkUnits(
+        "d16lint", units, hardwareThreads(),
+        [&](tools::CheckUnit &u) { lintUnit(u, args); });
 
-    verify::DiagEngine diags;
-    bool buildFailed = false;
-    int units = 0;
-    for (const core::Workload *w : suite) {
-        if (args.d16) {
-            ++units;
-            buildFailed |=
-                !lintOne(*w, mc::CompileOptions::d16(), args, diags);
-        }
-        if (args.dlxe) {
-            ++units;
-            buildFailed |=
-                !lintOne(*w, mc::CompileOptions::dlxe(), args, diags);
-        }
-    }
-
+    verify::DiagEngine all;
+    for (const tools::CheckUnit &u : units)
+        for (const verify::Diag &d : u.diags.diags())
+            all.report(d);
     if (args.json)
-        diags.renderJson(std::cout);
+        std::cout << all.json().dump(2) << "\n";
     else
-        diags.renderText(std::cout);
+        all.renderText(std::cout);
 
-    if (!args.json) {
-        std::fprintf(stderr,
-                     "d16lint: %d units, %d errors, %d warnings, "
-                     "%d notes\n",
-                     units, diags.errors(), diags.warnings(),
-                     diags.notes());
-    }
-    if (buildFailed)
+    const tools::Tally tally(units);
+    if (!args.json)
+        tally.print("d16lint", units.size());
+    if (!built)
         return 2;
-    return diags.failures() ? 1 : 0;
+    return tally.failures() ? 1 : 0;
 }

@@ -66,7 +66,6 @@
 #include <set>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/service/client.hh"
@@ -76,6 +75,7 @@
 #include "core/workloads.hh"
 #include "support/cli.hh"
 #include "support/error.hh"
+#include "support/parallel.hh"
 
 namespace
 {
@@ -85,8 +85,7 @@ using namespace d16sim::core;
 
 struct Args
 {
-    int jobs = static_cast<int>(
-        std::max(1u, std::thread::hardware_concurrency()));
+    int jobs = hardwareThreads();
     bool smoke = false;
     bool uarchMatrix = false;
     bool timing = true;

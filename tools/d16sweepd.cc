@@ -24,11 +24,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <thread>
 
 #include "core/service/server.hh"
 #include "support/cli.hh"
 #include "support/error.hh"
+#include "support/parallel.hh"
 
 int
 main(int argc, char **argv)
@@ -37,8 +37,7 @@ main(int argc, char **argv)
     using namespace d16sim::core;
 
     service::ServerConfig cfg;
-    const int hw = static_cast<int>(
-        std::max(1u, std::thread::hardware_concurrency()));
+    const int hw = hardwareThreads();
     cfg.shards = std::min(4, hw);
     cfg.jobs = std::max(1, hw / cfg.shards);
 

@@ -17,7 +17,7 @@
  * against the static classification.
  *
  *   d16timing                         analyze every workload, both targets
- *   d16timing perm queens             specific workloads
+ *   d16timing towers queens           specific workloads
  *   d16timing --isa d16 --opt 0       one target, unoptimized code
  *   d16timing --smoke                 the sweep's smoke matrix (all five
  *                                     paper variants)
@@ -38,23 +38,16 @@
  */
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <iostream>
 #include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "analysis/timing.hh"
-#include "asm/assembler.hh"
-#include "core/sweep/sweep.hh"
+#include "check_driver.hh"
 #include "core/toolchain.hh"
-#include "core/workloads.hh"
-#include "mc/compiler.hh"
-#include "support/cli.hh"
-#include "support/json.hh"
 #include "support/table.hh"
 
 namespace
@@ -64,73 +57,49 @@ using namespace d16sim;
 
 struct Args
 {
-    std::vector<std::string> workloads;  //!< empty = all
-    bool d16 = true;
-    bool dlxe = true;
-    int optLevel = 2;
-    bool smoke = false;
+    tools::UnitArgs units;
     bool json = false;
     bool crossValidate = false;
     bool notes = false;
     int top = 3;
     int bus = 4;
     sim::UarchConfig uarch;
-    int jobs = static_cast<int>(
-        std::max(1u, std::thread::hardware_concurrency()));
+    int jobs = hardwareThreads();
 };
 
-/** One (workload, variant) timing unit and everything it produced. */
-struct Unit
+/** One timing unit and everything it produced. */
+struct Unit : tools::CheckUnit
 {
-    const core::Workload *workload = nullptr;
-    mc::CompileOptions opts;
-    std::string name;     //!< "<workload>/<variant>"
-    std::string variant;  //!< the variant segment alone
-
-    verify::DiagEngine diags;
     std::unique_ptr<assem::Image> image;
     std::unique_ptr<analysis::ImageCfg> cfg;  //!< timing points into this
     analysis::TimingResult timing;
     mc::SchedFeedback feedback;
     int findings = 0;
-    bool built = false;
     bool validated = false;
 };
 
-bool
+void
 analyzeUnit(Unit &u, const Args &args)
 {
-    u.diags.setUnit(u.name);
-    try {
-        mc::CompileResult comp = mc::compile(u.workload->source, u.opts);
-        assem::Assembler as(u.opts.target());
-        as.add(std::move(comp.items));
-        u.image = std::make_unique<assem::Image>(as.link());
-        u.cfg = std::make_unique<analysis::ImageCfg>(
-            analysis::buildCfg(*u.image));
-        analysis::TimingOptions topts;
-        topts.busBytes = static_cast<uint32_t>(args.bus);
-        topts.siteDiags = args.notes;
-        topts.uarch = args.uarch;
-        u.timing = analysis::analyzeTiming(*u.cfg, u.diags, topts);
-        u.feedback = analysis::schedFeedback(u.timing, u.diags);
-        if (args.crossValidate) {
-            analysis::StallProbe probe;
-            sim::MachineConfig mcfg;
-            mcfg.uarch = args.uarch;
-            const core::RunMeasurement m =
-                core::run(*u.image, {&probe}, mcfg);
-            u.findings += analysis::crossValidateTiming(
-                u.timing, probe, m.stats, u.diags);
-            u.validated = true;
-        }
-    } catch (const Error &e) {
-        std::fprintf(stderr, "d16timing: %s: build failed: %s\n",
-                     u.name.c_str(), e.what());
-        return false;
+    u.image = std::make_unique<assem::Image>(
+        core::link(u.workload->source, u.opts));
+    u.cfg = std::make_unique<analysis::ImageCfg>(
+        analysis::buildCfg(*u.image));
+    analysis::TimingOptions topts;
+    topts.busBytes = static_cast<uint32_t>(args.bus);
+    topts.siteDiags = args.notes;
+    topts.uarch = args.uarch;
+    u.timing = analysis::analyzeTiming(*u.cfg, u.diags, topts);
+    u.feedback = analysis::schedFeedback(u.timing, u.diags);
+    if (args.crossValidate) {
+        analysis::StallProbe probe;
+        sim::MachineConfig mcfg;
+        mcfg.uarch = args.uarch;
+        const core::RunMeasurement m = core::run(*u.image, {&probe}, mcfg);
+        u.findings += analysis::crossValidateTiming(u.timing, probe,
+                                                    m.stats, u.diags);
+        u.validated = true;
     }
-    u.built = true;
-    return true;
 }
 
 /** Block ids of `u`'s top stall hotspots, densest first. */
@@ -172,7 +141,8 @@ printHotspots(const std::vector<const Unit *> &group, int top,
             char density[32];
             std::snprintf(density, sizeof density, "%.2f",
                           bt.stallDensity());
-            table.addRow({u->variant, u->timing.blockLabel(id),
+            table.addRow({core::sweep::variantKey(u->opts),
+                          u->timing.blockLabel(id),
                           std::to_string(bt.size),
                           std::to_string(bt.stallLo),
                           std::to_string(bt.stallHi),
@@ -188,9 +158,7 @@ unitJson(const Unit &u)
 {
     Json j = Json::object();
     j["unit"] = u.name;
-    std::ostringstream os;
-    u.timing.renderJson(os);
-    j["summary"] = Json::parse(os.str());
+    j["summary"] = u.timing.json();
     Json fb = Json::object();
     fb["residualLoadUse"] = Json(int64_t{u.feedback.loadUseSites});
     fb["avoidableLoadUse"] = Json(int64_t{u.feedback.avoidableSites});
@@ -207,9 +175,7 @@ unitJson(const Unit &u)
         hot.push(h);
     }
     j["hotspots"] = hot;
-    std::ostringstream ds;
-    u.diags.renderJson(ds);
-    j["diags"] = Json::parse(ds.str());
+    j["diags"] = u.diags.json();
     j["crossValidated"] = u.validated;
     return j;
 }
@@ -226,13 +192,9 @@ main(int argc, char **argv)
         "       [--cross-validate] [--notes] [--top N] [--bus N]\n"
         "       [--uarch SPEC] [--json] [--jobs N] [--list]\n"
         "       [workload...]");
-    parser.value("--isa", [&](const std::string &v) {
-        args.d16 = v == "d16" || v == "both";
-        args.dlxe = v == "dlxe" || v == "both";
-        return args.d16 || args.dlxe;
-    });
-    parser.intValue("--opt", &args.optLevel);
-    parser.flag("--smoke", &args.smoke);
+    tools::addIsaFlags(parser, args.units);
+    tools::addWorkloadFlags(parser, args.units);
+    parser.flag("--smoke", &args.units.smoke);
     parser.flag("--json", &args.json);
     parser.flag("--cross-validate", &args.crossValidate);
     parser.flag("--notes", &args.notes);
@@ -248,18 +210,11 @@ main(int argc, char **argv)
         return true;
     });
     parser.intValue("--jobs", &args.jobs);
-    parser.flag("--list", [] {
-        for (const core::Workload &w : core::workloadSuite())
-            std::printf("%s\n", w.name.c_str());
-        std::exit(0);
-    });
-    parser.positionals(&args.workloads);
     switch (parser.parse(argc, argv)) {
       case cli::CliStatus::Help: return 0;
       case cli::CliStatus::Error: return 2;
       case cli::CliStatus::Ok: break;
     }
-    args.jobs = std::max(1, args.jobs);
     args.top = std::max(1, args.top);
     if (args.bus < 4 || (args.bus & (args.bus - 1)) != 0) {
         std::fprintf(stderr,
@@ -267,119 +222,60 @@ main(int argc, char **argv)
         return 2;
     }
 
-    std::vector<std::unique_ptr<Unit>> units;
-    try {
-        auto wanted = [&](const std::string &name) {
-            return args.workloads.empty() ||
-                   std::find(args.workloads.begin(), args.workloads.end(),
-                             name) != args.workloads.end();
-        };
-        for (const std::string &name : args.workloads)
-            core::workload(name);  // validate up front
-        if (args.smoke) {
-            for (core::sweep::JobSpec &j : core::sweep::smokeBaseMatrix()) {
-                if (!wanted(j.workload))
-                    continue;
-                auto u = std::make_unique<Unit>();
-                u->workload = &core::workload(j.workload);
-                u->opts = j.opts;
-                u->variant = core::sweep::variantKey(j.opts);
-                u->name = j.workload + "/" + u->variant;
-                units.push_back(std::move(u));
-            }
-        } else {
-            for (const core::Workload &w : core::workloadSuite()) {
-                if (!wanted(w.name))
-                    continue;
-                for (auto opts : {mc::CompileOptions::d16(),
-                                  mc::CompileOptions::dlxe()}) {
-                    if (opts.isa == isa::IsaKind::D16 ? !args.d16
-                                                      : !args.dlxe)
-                        continue;
-                    opts.optLevel = args.optLevel;
-                    auto u = std::make_unique<Unit>();
-                    u->workload = &w;
-                    u->opts = opts;
-                    u->variant = core::sweep::variantKey(opts);
-                    u->name = w.name + "/" + u->variant;
-                    units.push_back(std::move(u));
-                }
-            }
-        }
-    } catch (const Error &e) {
-        std::fprintf(stderr, "d16timing: %s\n", e.what());
+    std::vector<Unit> units;
+    if (!tools::unitMatrix("d16timing", args.units.workloads,
+                           args.units.variants(), units))
         return 2;
-    }
 
     // Analyze in parallel; report in deterministic unit order below.
-    std::atomic<size_t> next{0};
-    std::atomic<bool> buildFailed{false};
-    auto worker = [&] {
-        for (size_t i = next.fetch_add(1); i < units.size();
-             i = next.fetch_add(1)) {
-            if (!analyzeUnit(*units[i], args))
-                buildFailed = true;
-        }
-    };
-    std::vector<std::thread> pool;
-    const int threads =
-        std::min<size_t>(args.jobs, units.size() ? units.size() : 1);
-    for (int t = 1; t < threads; ++t)
-        pool.emplace_back(worker);
-    worker();
-    for (std::thread &t : pool)
-        t.join();
+    const bool built = tools::checkUnits(
+        "d16timing", units, args.jobs,
+        [&](Unit &u) { analyzeUnit(u, args); });
 
-    int errors = 0, warnings = 0, notes = 0, findings = 0;
     if (args.json) {
         Json doc = Json::array();
-        for (const auto &u : units)
-            if (u->built)
-                doc.push(unitJson(*u));
+        for (const Unit &u : units)
+            if (u.built)
+                doc.push(unitJson(u));
         std::cout << doc.dump(2) << "\n";
     } else {
         // Per-unit summaries, then the per-workload side-by-side
         // hotspot tables (the units of one workload are adjacent by
         // construction in both matrix orders).
-        for (const auto &u : units) {
-            if (!u->built)
+        for (const Unit &u : units) {
+            if (!u.built)
                 continue;
-            std::printf("%s:%s\n", u->name.c_str(),
-                        u->validated ? " (cross-validated)" : "");
+            std::printf("%s:%s\n", u.name.c_str(),
+                        u.validated ? " (cross-validated)" : "");
             std::ostringstream os;
-            u->timing.renderText(os);
-            os << "  scheduler feedback: " << u->feedback.loadUseSites
+            u.timing.renderText(os);
+            os << "  scheduler feedback: " << u.feedback.loadUseSites
                << " residual load-use interlock(s), "
-               << u->feedback.avoidableSites << " avoidable\n";
+               << u.feedback.avoidableSites << " avoidable\n";
             std::fputs(os.str().c_str(), stdout);
-            u->diags.renderText(std::cout);
+            u.diags.renderText(std::cout);
         }
         std::vector<const Unit *> group;
-        for (const auto &u : units) {
-            if (u->built && !group.empty() &&
-                group.back()->workload != u->workload) {
+        for (const Unit &u : units) {
+            if (u.built && !group.empty() &&
+                group.back()->workload != u.workload) {
                 printHotspots(group, args.top, std::cout);
                 group.clear();
             }
-            if (u->built)
-                group.push_back(u.get());
+            if (u.built)
+                group.push_back(&u);
         }
         if (!group.empty())
             printHotspots(group, args.top, std::cout);
     }
-    for (const auto &u : units) {
-        errors += u->diags.errors();
-        warnings += u->diags.warnings();
-        notes += u->diags.notes();
-        findings += u->findings + u->diags.failures();
-    }
-    std::fprintf(
-        stderr,
-        "d16timing: %zu units, %d errors, %d warnings, %d notes%s\n",
-        units.size(), errors, warnings, notes,
-        args.crossValidate ? " (cross-validated)" : "");
+    int findings = 0;
+    for (const Unit &u : units)
+        findings += u.findings;
+    const tools::Tally tally(units);
+    tally.print("d16timing", units.size(),
+                args.crossValidate ? " (cross-validated)" : "");
 
-    if (buildFailed)
+    if (!built)
         return 2;
-    return findings ? 1 : 0;
+    return findings + tally.failures() > 0 ? 1 : 0;
 }

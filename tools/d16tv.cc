@@ -11,7 +11,7 @@
  *
  *   d16tv                        validate all workloads, all five paper
  *                                variants, -O0/-O1/-O2
- *   d16tv perm queens            specific workloads
+ *   d16tv towers queens          specific workloads
  *   d16tv --variants D16,DLXe/32/3   restrict machine variants
  *   d16tv --opt 2                one optimization level (default: all)
  *   d16tv --pass licm            only passes whose name contains "licm"
@@ -23,20 +23,14 @@
  */
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <iostream>
+#include <map>
 #include <memory>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "core/sweep/sweep.hh"
-#include "core/workloads.hh"
-#include "mc/compiler.hh"
-#include "support/cli.hh"
-#include "support/json.hh"
+#include "check_driver.hh"
 #include "support/table.hh"
 #include "verify/tv/tv.hh"
 
@@ -47,97 +41,50 @@ using namespace d16sim;
 
 struct Args
 {
-    std::vector<std::string> workloads;  //!< empty = all
+    tools::UnitArgs units;
     std::vector<std::string> variants;   //!< empty = all five
     int optLevel = -1;                   //!< -1 = 0, 1, and 2
     std::string pass;                    //!< substring filter; empty = all
     bool json = false;
-    int jobs = static_cast<int>(
-        std::max(1u, std::thread::hardware_concurrency()));
+    int jobs = hardwareThreads();
+
+    /** The paper variants --variants names, each at every --opt level. */
+    std::vector<mc::CompileOptions>
+    unitVariants() const
+    {
+        std::vector<mc::CompileOptions> out;
+        for (const auto &[label, base] : core::sweep::paperVariants()) {
+            if (!variants.empty() &&
+                std::find(variants.begin(), variants.end(), base.name()) ==
+                    variants.end())
+                continue;
+            for (int opt = 0; opt <= 2; ++opt) {
+                if (optLevel >= 0 && opt != optLevel)
+                    continue;
+                mc::CompileOptions opts = base;
+                opts.optLevel = opt;
+                out.push_back(std::move(opts));
+            }
+        }
+        return out;
+    }
 };
 
-/** Forwards each pass boundary to a CollectingValidator when the pass
- *  name matches the --pass filter. */
-class FilterValidator final : public mc::PassValidator
+/** One validation unit and its validator's per-pass statistics. */
+struct Unit : tools::CheckUnit
 {
-  public:
-    FilterValidator(verify::DiagEngine &de, std::string filter)
-        : inner_(de), filter_(std::move(filter))
-    {}
-
-    void
-    afterIrPass(const mc::IrFunction &before, const mc::IrFunction &after,
-                const char *pass, const mc::MachineEnv *env) override
-    {
-        if (match(pass))
-            inner_.afterIrPass(before, after, pass, env);
-    }
-
-    void
-    afterRegalloc(const mc::IrFunction &before,
-                  const mc::IrFunction &after, const mc::Allocation &alloc,
-                  const mc::MachineEnv &env) override
-    {
-        if (match("regalloc"))
-            inner_.afterRegalloc(before, after, alloc, env);
-    }
-
-    void
-    afterSchedule(const std::vector<assem::AsmItem> &before,
-                  const std::vector<assem::AsmItem> &after,
-                  const mc::MachineEnv &env) override
-    {
-        if (match("sched"))
-            inner_.afterSchedule(before, after, env);
-    }
-
-    const std::map<std::string, verify::tv::PassStats> &
-    stats() const
-    {
-        return inner_.stats();
-    }
-
-  private:
-    bool
-    match(std::string_view pass) const
-    {
-        return filter_.empty() ||
-               pass.find(filter_) != std::string_view::npos;
-    }
-
-    verify::tv::CollectingValidator inner_;
-    std::string filter_;
+    std::shared_ptr<verify::tv::CollectingValidator> validator;
 };
 
-/** One (workload, variant, optLevel) validation unit. */
-struct Unit
-{
-    const core::Workload *workload = nullptr;
-    mc::CompileOptions opts;
-    std::string name;  //!< "<workload>/<variant>" (variantKey adds /O<n>)
-
-    verify::DiagEngine diags;
-    std::shared_ptr<FilterValidator> validator;
-    bool built = false;
-};
-
-bool
+void
 validateUnit(Unit &u, const Args &args)
 {
-    u.diags.setUnit(u.name);
-    u.validator = std::make_shared<FilterValidator>(u.diags, args.pass);
+    u.validator = std::make_shared<verify::tv::CollectingValidator>(
+        u.diags, args.pass);
     mc::CompileOptions opts = u.opts;
     opts.validateEach = true;
     opts.validator = u.validator;
-    try {
-        mc::compile(u.workload->source, opts);
-    } catch (const Error &e) {
-        std::fprintf(stderr, "d16tv: %s: build failed: %s\n",
-                     u.name.c_str(), e.what());
-        return false;
-    }
-    u.built = true;
-    return true;
+    mc::compile(u.workload->source, opts);
 }
 
 Json
@@ -154,9 +101,7 @@ unitJson(const Unit &u)
         passes[pass] = p;
     }
     j["passes"] = passes;
-    std::ostringstream ds;
-    u.diags.renderJson(ds);
-    j["diags"] = Json::parse(ds.str());
+    j["diags"] = u.diags.json();
     return j;
 }
 
@@ -170,11 +115,7 @@ main(int argc, char **argv)
                     "[--variants V1,V2,...] [--opt 0|1|2] [--pass NAME]\n"
                     "       [--json] [--jobs N] [--list] [workload...]");
     parser.value("--variants", [&](const std::string &v) {
-        std::istringstream is(v);
-        std::string item;
-        while (std::getline(is, item, ','))
-            if (!item.empty())
-                args.variants.push_back(item);
+        args.variants = cli::csvList(v);
         return !args.variants.empty();
     });
     parser.intValue("--opt", &args.optLevel);
@@ -184,92 +125,33 @@ main(int argc, char **argv)
     });
     parser.flag("--json", &args.json);
     parser.intValue("--jobs", &args.jobs);
-    parser.flag("--list", [] {
-        for (const core::Workload &w : core::workloadSuite())
-            std::printf("%s\n", w.name.c_str());
-        std::exit(0);
-    });
-    parser.positionals(&args.workloads);
+    tools::addWorkloadFlags(parser, args.units);
     switch (parser.parse(argc, argv)) {
       case cli::CliStatus::Help: return 0;
       case cli::CliStatus::Error: return 2;
       case cli::CliStatus::Ok: break;
     }
-    args.jobs = std::max(1, args.jobs);
     if (args.optLevel < -1 || args.optLevel > 2) {
         std::fprintf(stderr, "d16tv: --opt must be 0, 1, or 2\n");
         return 2;
     }
 
-    const std::vector<mc::CompileOptions> allVariants = {
-        mc::CompileOptions::d16(),
-        mc::CompileOptions::dlxe(16, false),
-        mc::CompileOptions::dlxe(16, true),
-        mc::CompileOptions::dlxe(32, false),
-        mc::CompileOptions::dlxe(32, true),
-    };
-
-    std::vector<std::unique_ptr<Unit>> units;
-    try {
-        auto wanted = [&](const std::string &name) {
-            return args.workloads.empty() ||
-                   std::find(args.workloads.begin(), args.workloads.end(),
-                             name) != args.workloads.end();
-        };
-        for (const std::string &name : args.workloads)
-            core::workload(name);  // validate up front
-        for (const core::Workload &w : core::workloadSuite()) {
-            if (!wanted(w.name))
-                continue;
-            for (const mc::CompileOptions &base : allVariants) {
-                if (!args.variants.empty() &&
-                    std::find(args.variants.begin(), args.variants.end(),
-                              base.name()) == args.variants.end())
-                    continue;
-                for (int opt = 0; opt <= 2; ++opt) {
-                    if (args.optLevel >= 0 && opt != args.optLevel)
-                        continue;
-                    auto u = std::make_unique<Unit>();
-                    u->workload = &w;
-                    u->opts = base;
-                    u->opts.optLevel = opt;
-                    u->name =
-                        w.name + "/" + core::sweep::variantKey(u->opts);
-                    units.push_back(std::move(u));
-                }
-            }
-        }
-    } catch (const Error &e) {
-        std::fprintf(stderr, "d16tv: %s\n", e.what());
+    std::vector<Unit> units;
+    if (!tools::unitMatrix("d16tv", args.units.workloads, args.unitVariants(),
+                           units))
         return 2;
-    }
 
     // Validate in parallel; report in deterministic unit order below.
-    std::atomic<size_t> next{0};
-    std::atomic<bool> buildFailed{false};
-    auto worker = [&] {
-        for (size_t i = next.fetch_add(1); i < units.size();
-             i = next.fetch_add(1)) {
-            if (!validateUnit(*units[i], args))
-                buildFailed = true;
-        }
-    };
-    std::vector<std::thread> pool;
-    const int threads =
-        std::min<size_t>(args.jobs, units.size() ? units.size() : 1);
-    for (int t = 1; t < threads; ++t)
-        pool.emplace_back(worker);
-    worker();
-    for (std::thread &t : pool)
-        t.join();
+    const bool built = tools::checkUnits(
+        "d16tv", units, args.jobs, [&](Unit &u) { validateUnit(u, args); });
 
     // Aggregate per-pass statistics across all units.
     std::map<std::string, verify::tv::PassStats> total;
     int64_t checks = 0, failures = 0;
-    for (const auto &u : units) {
-        if (!u->built)
+    for (const Unit &u : units) {
+        if (!u.built)
             continue;
-        for (const auto &[pass, s] : u->validator->stats()) {
+        for (const auto &[pass, s] : u.validator->stats()) {
             verify::tv::PassStats &t = total[pass];
             t.checks += s.checks;
             t.failures += s.failures;
@@ -281,15 +163,15 @@ main(int argc, char **argv)
 
     if (args.json) {
         Json doc = Json::array();
-        for (const auto &u : units)
-            if (u->built)
-                doc.push(unitJson(*u));
+        for (const Unit &u : units)
+            if (u.built)
+                doc.push(unitJson(u));
         std::cout << doc.dump(2) << "\n";
     } else {
-        for (const auto &u : units) {
-            if (!u->built || u->diags.empty())
+        for (const Unit &u : units) {
+            if (!u.built || u.diags.empty())
                 continue;
-            u->diags.renderText(std::cout);
+            u.diags.renderText(std::cout);
         }
         Table table({"pass", "checks", "failures", "ms"});
         table.setTitle("translation validation");
@@ -308,7 +190,7 @@ main(int argc, char **argv)
                  units.size(), static_cast<long long>(checks),
                  static_cast<long long>(failures));
 
-    if (buildFailed)
+    if (!built)
         return 2;
     return failures ? 1 : 0;
 }
