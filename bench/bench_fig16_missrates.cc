@@ -25,11 +25,7 @@ main()
     const CompileOptions optDLXe = CompileOptions::dlxe();
 
     auto config = [](uint32_t kb, uint32_t block) {
-        mem::CacheConfig cfg;
-        cfg.sizeBytes = kb * 1024;
-        cfg.blockBytes = block;
-        cfg.subBlockBytes = std::min(block, 8u);
-        return cfg;
+        return sweep::paperCacheConfig(kb * 1024, block);
     };
 
     std::vector<JobSpec> plan;

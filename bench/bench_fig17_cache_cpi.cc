@@ -27,11 +27,7 @@ main()
                "Dreads", "Dwrites"});
 
     auto config = [](uint32_t kb) {
-        mem::CacheConfig cfg;
-        cfg.sizeBytes = kb * 1024;
-        cfg.blockBytes = 32;
-        cfg.subBlockBytes = 8;
-        return cfg;
+        return sweep::paperCacheConfig(kb * 1024, 32);
     };
 
     std::vector<JobSpec> plan;

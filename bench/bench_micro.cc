@@ -10,6 +10,7 @@
 #include "asm/assembler.hh"
 #include "core/replay/replay.hh"
 #include "core/replay/trace.hh"
+#include "core/sweep/sweep.hh"
 #include "core/toolchain.hh"
 #include "core/workloads.hh"
 #include "isa/codec.hh"
@@ -50,9 +51,7 @@ BENCHMARK(BM_DLXeDecode);
 static void
 BM_CacheAccess(benchmark::State &state)
 {
-    mem::CacheConfig cfg;
-    cfg.sizeBytes = 4096;
-    mem::Cache cache(cfg);
+    mem::Cache cache(core::sweep::paperCacheConfig(4096, 32));
     uint32_t addr = 0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(cache.read(addr & 0xffff, 4));
@@ -128,10 +127,7 @@ BM_ReplayCacheQueens(benchmark::State &state)
     const auto img = core::build(core::workload("queens").source,
                                  mc::CompileOptions::dlxe());
     const auto trace = core::replay::capture(img);
-    mem::CacheConfig cfg;
-    cfg.sizeBytes = 4096;
-    cfg.blockBytes = 32;
-    cfg.subBlockBytes = 8;
+    const mem::CacheConfig cfg = core::sweep::paperCacheConfig(4096, 32);
     for (auto _ : state) {
         const auto stats = core::replay::replayCache(trace, cfg, cfg);
         benchmark::DoNotOptimize(stats.first.misses());

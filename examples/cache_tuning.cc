@@ -18,6 +18,7 @@
 
 #include "core/replay/replay.hh"
 #include "core/replay/trace.hh"
+#include "core/sweep/sweep.hh"
 #include "core/toolchain.hh"
 #include "core/workloads.hh"
 #include "support/table.hh"
@@ -61,12 +62,8 @@ main(int argc, char **argv)
 
         std::vector<replay::CacheEval> evals(sizesKb.size());
         for (size_t i = 0; i < sizesKb.size(); ++i) {
-            mem::CacheConfig cfg;
-            cfg.sizeBytes = sizesKb[i] * 1024;
-            cfg.blockBytes = 32;
-            cfg.subBlockBytes = 8;
-            evals[i].icache = cfg;
-            evals[i].dcache = cfg;
+            evals[i].icache = sweep::paperCacheConfig(sizesKb[i] * 1024, 32);
+            evals[i].dcache = evals[i].icache;
         }
         replay::replayCaches(trace, evals);
 

@@ -15,27 +15,12 @@
 #include "core/sweep/artifacts.hh"
 #include "support/error.hh"
 #include "support/framing.hh"
-#include "support/parallel.hh"
 
 namespace d16sim::core::service
 {
 
 namespace
 {
-
-/** Deterministic shard assignment (FNV-1a over the build key): jobs
- *  sharing a build node always land in the same lane, preserving the
- *  engine's build deduplication. */
-uint32_t
-fnv1a(const std::string &s)
-{
-    uint32_t h = 2166136261u;
-    for (char c : s) {
-        h ^= static_cast<uint8_t>(c);
-        h *= 16777619u;
-    }
-    return h;
-}
 
 Json
 okReply()
@@ -59,7 +44,6 @@ errorReply(const std::string &message)
 SweepServer::SweepServer(ServerConfig cfg) : cfg_(std::move(cfg))
 {
     cfg_.jobs = std::max(1, cfg_.jobs);
-    cfg_.shards = std::max(1, cfg_.shards);
     if (!cfg_.storeDir.empty())
         artifacts_ =
             std::make_unique<store::ArtifactStore>(cfg_.storeDir);
@@ -196,11 +180,13 @@ SweepServer::handleSweep(int fd, const Json &request)
         ++jobsServed_;
     };
 
-    // Rows the memory cache already holds stream immediately; the
-    // remainder is partitioned by build key across the shard lanes.
-    std::vector<std::vector<sweep::JobSpec>> lanes(
-        static_cast<size_t>(cfg_.shards));
-    size_t fresh = 0;
+    // Rows the memory cache already holds stream immediately; one
+    // engine runs the remainder.
+    sweep::SweepEngine engine(results_, cfg_.jobs);
+    engine.setReplay(replay);
+    engine.setBlockEngine(blockEngine);
+    engine.setArtifacts(artifacts_.get());
+    engine.setResultCallback(send);
     for (sweep::JobSpec &spec : jobs) {
         const std::string key = sweep::jobKey(spec);
         if (const sweep::JobResult *hit = results_.find(key)) {
@@ -208,70 +194,21 @@ SweepServer::handleSweep(int fd, const Json &request)
             ++jobsFromMemory_;
             continue;
         }
-        ++fresh;
-        lanes[fnv1a(sweep::buildKey(spec)) %
-              static_cast<uint32_t>(cfg_.shards)]
-            .push_back(std::move(spec));
-    }
-
-    sweep::SweepTiming total;
-    total.threads = 0;
-    std::string firstError;
-    if (fresh) {
-        std::mutex aggMutex;
-        // One thread per lane; the lanes run concurrently.
-        parallelFor(lanes.size(), cfg_.shards, [&](size_t i) {
-            std::vector<sweep::JobSpec> &lane = lanes[i];
-            if (lane.empty())
-                return;
-            try {
-                sweep::SweepEngine engine(results_, cfg_.jobs);
-                engine.setReplay(replay);
-                engine.setBlockEngine(blockEngine);
-                engine.setArtifacts(artifacts_.get());
-                engine.setResultCallback(send);
-                engine.add(std::move(lane));
-                engine.run();
-                const sweep::SweepTiming &t = engine.timing();
-                std::lock_guard<std::mutex> guard(aggMutex);
-                total.threads += t.threads;
-                total.executedRuns += t.executedRuns;
-                total.executedBuilds += t.executedBuilds;
-                total.dedupedRuns += t.dedupedRuns;
-                total.cachedRuns += t.cachedRuns;
-                total.replayedRuns += t.replayedRuns;
-                total.capturedTraces += t.capturedTraces;
-                total.storeResultHits += t.storeResultHits;
-                total.storeImageHits += t.storeImageHits;
-                total.storeTraceHits += t.storeTraceHits;
-                total.storeMisses += t.storeMisses;
-                total.simulatedInstructions +=
-                    t.simulatedInstructions;
-                // Lanes run concurrently: wall is the slowest lane,
-                // busy time sums.
-                total.wallSeconds =
-                    std::max(total.wallSeconds, t.wallSeconds);
-                total.buildSeconds += t.buildSeconds;
-                total.simulateSeconds += t.simulateSeconds;
-                total.replaySeconds += t.replaySeconds;
-            } catch (const Error &e) {
-                std::lock_guard<std::mutex> guard(aggMutex);
-                if (firstError.empty())
-                    firstError = e.what();
-            }
-        });
+        engine.add(std::move(spec));
     }
 
     Json frame = Json::object();
-    if (!firstError.empty()) {
+    try {
+        engine.run();
+    } catch (const Error &e) {
         frame["frame"] = Json("error");
-        frame["error"] = Json(firstError);
+        frame["error"] = Json(std::string(e.what()));
         writeFrame(fd, frame);
         return;
     }
     frame["frame"] = Json("done");
     frame["count"] = Json(static_cast<int64_t>(jobs.size()));
-    frame["timing"] = total.json();
+    frame["timing"] = engine.timing().json();
     writeFrame(fd, frame);
 }
 
@@ -285,8 +222,7 @@ SweepServer::statsJson()
     j["jobsServed"] = Json(jobsServed_);
     j["jobsFromMemory"] = Json(jobsFromMemory_);
     j["resultsInMemory"] = Json(static_cast<int64_t>(results_.size()));
-    j["shards"] = Json(cfg_.shards);
-    j["jobsPerShard"] = Json(cfg_.jobs);
+    j["jobs"] = Json(cfg_.jobs);
     if (artifacts_) {
         const store::StoreCounters c = artifacts_->counters();
         Json s = Json::object();

@@ -6,13 +6,12 @@
  * ResultStore that persist across requests, so repeated sweeps of
  * overlapping matrices amortize: the first request fills the stores,
  * later ones stream straight from memory (no build, no simulation, no
- * disk read). A cold request is sharded: its jobs are partitioned by
- * build key across `shards` concurrent SweepEngine lanes (each a
- * `jobs`-thread engine) sharing the store, and every result row is
- * streamed to the client the moment it lands.
+ * disk read). A cold request runs on one `jobs`-thread SweepEngine,
+ * which deduplicates builds and balances work across its threads, and
+ * every result row is streamed to the client the moment it lands.
  *
  * Requests are handled one client at a time — the concurrency budget
- * belongs to the sweep lanes, not the accept loop. See protocol.hh
+ * belongs to the sweep engine, not the accept loop. See protocol.hh
  * for the wire format.
  */
 
@@ -33,8 +32,7 @@ struct ServerConfig
 {
     std::string socketPath;
     std::string storeDir; //!< empty: serve without a persistent store
-    int jobs = 1;         //!< worker threads per shard lane
-    int shards = 1;       //!< concurrent engine lanes per request
+    int jobs = 1;         //!< sweep engine worker threads
 };
 
 class SweepServer

@@ -14,21 +14,14 @@ namespace
 
 constexpr uint32_t kBlockTableMagic = 0x4d363144; // "D16M" little-endian
 
-/** Canonical probe component of the key preimage. Unlike jobKey()'s
- *  display segment, the cache spec carries the *full* configuration —
- *  geometry and policy flags — so any future policy ablation gets its
- *  own key instead of colliding. */
+/** Canonical probe component of the key preimage. The cache spec's
+ *  ":pf1:wa1:wb1" policy suffix is kept so every store key is
+ *  unchanged. */
 std::string
 probeSpec(const JobSpec &spec)
 {
     auto cacheSpec = [](const mem::CacheConfig &cfg) {
-        return std::to_string(cfg.sizeBytes) + ":" +
-               std::to_string(cfg.blockBytes) + ":" +
-               std::to_string(cfg.subBlockBytes) + ":" +
-               std::to_string(cfg.assoc) + ":" +
-               (cfg.prefetchWrapAround ? "pf1" : "pf0") + ":" +
-               (cfg.writeAllocate ? "wa1" : "wa0") + ":" +
-               (cfg.writeBack ? "wb1" : "wb0");
+        return cacheKey(cfg) + ":pf1:wa1:wb1";
     };
     switch (spec.probe) {
       case ProbeKind::None:
@@ -62,6 +55,12 @@ contentKey(const JobSpec &spec, const std::string &uarch,
     return h.hex();
 }
 
+/** The policy members of a cache config's JSON. They spell the
+ *  paper's one policy (assoc 1 and every flag true), which is the only
+ *  one the model implements. */
+constexpr const char *kPolicyFlags[] = {"prefetchWrapAround",
+                                        "writeAllocate", "writeBack"};
+
 Json
 cacheConfigJson(const mem::CacheConfig &cfg)
 {
@@ -69,10 +68,9 @@ cacheConfigJson(const mem::CacheConfig &cfg)
     j["sizeBytes"] = Json(cfg.sizeBytes);
     j["blockBytes"] = Json(cfg.blockBytes);
     j["subBlockBytes"] = Json(cfg.subBlockBytes);
-    j["assoc"] = Json(cfg.assoc);
-    j["prefetchWrapAround"] = Json(cfg.prefetchWrapAround);
-    j["writeAllocate"] = Json(cfg.writeAllocate);
-    j["writeBack"] = Json(cfg.writeBack);
+    j["assoc"] = Json(1);
+    for (const char *flag : kPolicyFlags)
+        j[flag] = Json(true);
     return j;
 }
 
@@ -109,11 +107,12 @@ cacheConfigFromJson(const Json &j)
     cfg.blockBytes = static_cast<uint32_t>(u64Member(j, "blockBytes"));
     cfg.subBlockBytes =
         static_cast<uint32_t>(u64Member(j, "subBlockBytes"));
-    cfg.assoc = static_cast<uint32_t>(u64Member(j, "assoc"));
-    cfg.prefetchWrapAround =
-        member(j, "prefetchWrapAround", Json::Kind::Bool).asBool();
-    cfg.writeAllocate = member(j, "writeAllocate", Json::Kind::Bool).asBool();
-    cfg.writeBack = member(j, "writeBack", Json::Kind::Bool).asBool();
+    if (u64Member(j, "assoc") != 1)
+        fatal("artifact json: only direct-mapped caches (assoc 1)");
+    for (const char *flag : kPolicyFlags)
+        if (!member(j, flag, Json::Kind::Bool).asBool())
+            fatal("artifact json: cache member '", flag,
+                  "' must be true");
     return cfg;
 }
 

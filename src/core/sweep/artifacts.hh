@@ -12,7 +12,7 @@
  *     source:<byte count>\n<source bytes>
  *     variant:<variantKey(opts)>
  *     uarch:<UarchConfig::key(), empty for the default machine>
- *     probe:<canonical probe spec, full cache geometry + policy>
+ *     probe:<canonical probe spec, full cache geometry>
  *
  * (one line per component, '\n'-terminated; the exact preimage is
  * assembled in jobContentKey()). The build-level key is the same
@@ -70,10 +70,12 @@ std::string buildContentKey(const JobSpec &spec);
 // ----- JobSpec wire format ---------------------------------------------
 
 /** Lossless JSON form: workload, variant key, probe kind and its
- *  parameters (full cache configs including policy flags). */
+ *  parameters (full cache geometry, plus the constant policy members
+ *  of the paper's one cache policy). */
 Json specJson(const JobSpec &spec);
 
-/** Parse specJson() output; FatalError on malformed input. */
+/** Parse specJson() output; FatalError on malformed input, including
+ *  a cache policy other than the paper's. */
 JobSpec specFromJson(const Json &j);
 
 // ----- JobResult store payload -----------------------------------------

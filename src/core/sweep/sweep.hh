@@ -204,6 +204,10 @@ bool compareSweeps(const Json &got, const Json &golden, std::string *diff,
 
 // ----- standard matrices ----------------------------------------------
 
+/** The paper's §4.1 cache geometry: `sizeBytes` with `blockBytes`
+ *  blocks of min(blockBytes, 8)-byte sub-blocks. */
+mem::CacheConfig paperCacheConfig(uint32_t sizeBytes, uint32_t blockBytes);
+
 /**
  * Every job the 12 bench drivers consume: base runs for all workloads
  * x all variants (plus narrow-immediate and O0/O1 ablation variants),

@@ -1,5 +1,7 @@
 #include "mem/cache.hh"
 
+#include <bit>
+
 #include "support/bits.hh"
 #include "support/error.hh"
 
@@ -10,57 +12,35 @@ Cache::Cache(CacheConfig config) : config_(config)
 {
     const auto &c = config_;
     if (!isPowerOfTwo(c.sizeBytes) || !isPowerOfTwo(c.blockBytes) ||
-        !isPowerOfTwo(c.subBlockBytes) || !isPowerOfTwo(c.assoc)) {
+        !isPowerOfTwo(c.subBlockBytes)) {
         fatal("cache geometry must be powers of two");
     }
     if (c.subBlockBytes < 4 || c.subBlockBytes > c.blockBytes)
         fatal("sub-block size must be in [4, blockBytes]");
-    if (c.blockBytes * c.assoc > c.sizeBytes)
-        fatal("cache smaller than one set");
-    numSets_ = c.sizeBytes / (c.blockBytes * c.assoc);
-    subPerBlock_ = c.blockBytes / c.subBlockBytes;
+    if (c.blockBytes > c.sizeBytes)
+        fatal("cache smaller than one block");
+    const uint32_t subPerBlock = c.blockBytes / c.subBlockBytes;
+    if (subPerBlock > 64)
+        fatal("more than 64 sub-blocks per block");
+    const uint32_t numSets = c.sizeBytes / c.blockBytes;
     wordsPerSub_ = c.subBlockBytes / 4;
-    panicIf(!isPowerOfTwo(numSets_),
-            "set count must be a power of two");
+    fullMask_ = subPerBlock == 64 ? ~uint64_t{0}
+                                  : (uint64_t{1} << subPerBlock) - 1;
     blockShift_ = floorLog2(c.blockBytes);
     subShift_ = floorLog2(c.subBlockBytes);
-    setShift_ = floorLog2(numSets_);
-    setMask_ = numSets_ - 1;
+    setShift_ = floorLog2(numSets);
+    setMask_ = numSets - 1;
     blockMask_ = c.blockBytes - 1;
-    frames_.resize(numSets_ * c.assoc);
-    for (Frame &f : frames_) {
-        f.valid.assign(subPerBlock_, false);
-        f.dirty.assign(subPerBlock_, false);
-    }
-}
-
-Cache::Frame &
-Cache::findVictim(uint32_t set)
-{
-    Frame *victim = &frames_[set * config_.assoc];
-    for (uint32_t w = 0; w < config_.assoc; ++w) {
-        Frame &f = frames_[set * config_.assoc + w];
-        if (!f.anyValid)
-            return f;
-        if (f.lastUse < victim->lastUse)
-            victim = &f;
-    }
-    return *victim;
+    frames_.resize(numSets);
 }
 
 void
 Cache::evict(Frame &frame)
 {
-    if (!frame.anyValid)
-        return;
-    if (config_.writeBack) {
-        for (uint32_t s = 0; s < subPerBlock_; ++s)
-            if (frame.dirty[s])
-                stats_.wordsOut += wordsPerSub_;
-    }
-    frame.anyValid = false;
-    frame.valid.assign(subPerBlock_, false);
-    frame.dirty.assign(subPerBlock_, false);
+    stats_.wordsOut +=
+        static_cast<uint64_t>(std::popcount(frame.dirty)) * wordsPerSub_;
+    frame.valid = 0;
+    frame.dirty = 0;
 }
 
 bool
@@ -78,82 +58,36 @@ Cache::access(uint32_t addr, int size, bool isWrite)
         stats_.reads += 1;
 
     const uint32_t blockAddr = addr >> blockShift_;
-    const uint32_t set = blockAddr & setMask_;
     const uint32_t tag = blockAddr >> setShift_;
-    const uint32_t sub = (addr & blockMask_) >> subShift_;
+    const uint64_t bit = uint64_t{1} << ((addr & blockMask_) >> subShift_);
+    Frame &frame = frames_[blockAddr & setMask_];
 
-    // Look for the tag in the set.
-    Frame *hitFrame = nullptr;
-    for (uint32_t w = 0; w < config_.assoc; ++w) {
-        Frame &f = frames_[set * config_.assoc + w];
-        if (f.anyValid && f.tag == tag) {
-            hitFrame = &f;
-            break;
-        }
-    }
-
-    ++useClock_;
-
-    if (hitFrame && hitFrame->valid[sub]) {
+    if (frame.tag == tag && (frame.valid & bit)) {
         // Full hit.
-        hitFrame->lastUse = useClock_;
-        if (isWrite) {
-            if (config_.writeBack) {
-                hitFrame->dirty[sub] = true;
-            } else {
-                stats_.wordsOut += (size + 3) / 4;
-            }
-        }
+        if (isWrite)
+            frame.dirty |= bit;
         return true;
     }
 
     // Miss (tag miss, or sub-block miss within a resident block).
-    if (isWrite)
-        stats_.writeMisses += 1;
-    else
-        stats_.readMisses += 1;
-
-    Frame *frame = hitFrame;
-    if (!frame) {
-        frame = &findVictim(set);
-        evict(*frame);
-        frame->tag = tag;
-        frame->anyValid = true;
+    if (frame.tag != tag) {
+        evict(frame);
+        frame.tag = tag;
     }
-    frame->lastUse = useClock_;
-
-    if (isWrite && !config_.writeAllocate) {
-        // Write-around: send the words to memory, no fill.
-        stats_.wordsOut += (size + 3) / 4;
-        if (!hitFrame) {
-            // Nothing was allocated after all.
-            frame->anyValid = false;
-        }
-        return false;
-    }
-
-    // Demand fill of the missed sub-block.
-    frame->valid[sub] = true;
-    frame->dirty[sub] = false;
-    stats_.wordsIn += wordsPerSub_;
-
-    if (!isWrite && config_.prefetchWrapAround) {
-        // Wrap-around prefetch: fill the remaining (invalid) sub-blocks
-        // of the block. No prefetch on writes.
-        for (uint32_t s = 0; s < subPerBlock_; ++s) {
-            if (!frame->valid[s]) {
-                frame->valid[s] = true;
-                frame->dirty[s] = false;
-                stats_.wordsIn += wordsPerSub_;
-            }
-        }
-    }
-
     if (isWrite) {
-        if (config_.writeBack)
-            frame->dirty[sub] = true;
-        else
-            stats_.wordsOut += (size + 3) / 4;
+        // Write-allocate fetches only the written sub-block.
+        stats_.writeMisses += 1;
+        frame.valid |= bit;
+        frame.dirty |= bit;
+        stats_.wordsIn += wordsPerSub_;
+    } else {
+        // Demand fill plus wrap-around prefetch: every invalid
+        // sub-block of the block, the missed one included.
+        stats_.readMisses += 1;
+        stats_.wordsIn += static_cast<uint64_t>(std::popcount(
+                              fullMask_ & ~frame.valid)) *
+                          wordsPerSub_;
+        frame.valid = fullMask_;
     }
     return false;
 }
@@ -172,27 +106,11 @@ Cache::readSeq(uint32_t addr, int size, uint32_t count)
             k = 1;  // let access() report the span violation
         if (k > count)
             k = count;
+        // The sub-block is resident after the first read (a read miss
+        // fills it) and nothing intervenes, so the next k-1 reads are
+        // guaranteed full hits; fold their counter updates.
         access(addr, size, false);
-        if (k > 1) {
-            // The sub-block is resident now (a read miss demand-fills
-            // it) and nothing intervenes, so the next k-1 reads are
-            // guaranteed full hits; fold their counter updates.
-            const uint32_t blockAddr = addr >> blockShift_;
-            const uint32_t set = blockAddr & setMask_;
-            const uint32_t tag = blockAddr >> setShift_;
-            Frame *frame = nullptr;
-            for (uint32_t w = 0; w < config_.assoc; ++w) {
-                Frame &f = frames_[set * config_.assoc + w];
-                if (f.anyValid && f.tag == tag) {
-                    frame = &f;
-                    break;
-                }
-            }
-            panicIf(!frame, "readSeq lost the frame it just filled");
-            stats_.reads += k - 1;
-            useClock_ += k - 1;
-            frame->lastUse = useClock_;
-        }
+        stats_.reads += k - 1;
         addr += k * stride;
         count -= k;
     }

@@ -2,15 +2,16 @@
  * @file
  * Sub-blocked cache model (the dinero-equivalent of paper §4.1).
  *
- * Matches the paper's configuration vocabulary: direct-mapped (or
- * set-associative) caches organized as blocks of 8..64 bytes with 4- or
- * 8-byte sub-blocks, wrap-around prefetch of the remainder of the block
- * on read misses, no prefetch on writes, write-allocate, write-back.
+ * Implements the paper's one cache policy: direct-mapped caches
+ * organized as blocks of 8..64 bytes with 4- or 8-byte sub-blocks,
+ * wrap-around prefetch of the remainder of the block on read misses,
+ * no prefetch on writes, write-allocate, write-back.
  *
  * Each frame holds one tag plus per-sub-block valid and dirty bits
- * (a "sector cache"): a read that hits the tag but misses its
- * sub-block counts as a miss and fills the invalid sub-blocks of the
- * block; a write miss fetches only the written sub-block.
+ * (a "sector cache", one bit per sub-block in a 64-bit mask): a read
+ * that hits the tag but misses its sub-block counts as a miss and
+ * fills the invalid sub-blocks of the block; a write miss fetches only
+ * the written sub-block.
  *
  * Traffic is counted in 32-bit words: wordsIn (memory -> cache fills
  * and prefetches) and wordsOut (dirty write-backs), the quantities
@@ -34,10 +35,6 @@ struct CacheConfig
     uint32_t sizeBytes = 4096;
     uint32_t blockBytes = 32;
     uint32_t subBlockBytes = 8;
-    uint32_t assoc = 1;                  //!< 1 = direct-mapped
-    bool prefetchWrapAround = true;      //!< fill rest of block on read miss
-    bool writeAllocate = true;
-    bool writeBack = true;
 };
 
 struct CacheStats
@@ -125,28 +122,22 @@ class Cache
     void flush();
 
     const CacheStats &stats() const { return stats_; }
-    const CacheConfig &config() const { return config_; }
-
-    uint32_t numSets() const { return numSets_; }
-    uint32_t subBlocksPerBlock() const { return subPerBlock_; }
 
   private:
+    /** One block frame; bit s of each mask is sub-block s. A dirty
+     *  sub-block is always valid. */
     struct Frame
     {
         uint32_t tag = 0;
-        bool anyValid = false;
-        uint64_t lastUse = 0;
-        std::vector<bool> valid;
-        std::vector<bool> dirty;
+        uint64_t valid = 0;
+        uint64_t dirty = 0;
     };
 
-    Frame &findVictim(uint32_t set);
     void evict(Frame &frame);
 
     CacheConfig config_;
-    uint32_t numSets_ = 0;
-    uint32_t subPerBlock_ = 0;
     uint32_t wordsPerSub_ = 0;
+    uint64_t fullMask_ = 0;  //!< a valid bit for every sub-block
 
     // Shift/mask forms of the geometry divisors. Every dimension is a
     // power of two (asserted in the constructor), so set indexing and
@@ -157,8 +148,7 @@ class Cache
     uint32_t setShift_ = 0;    //!< log2(numSets)
     uint32_t setMask_ = 0;     //!< numSets - 1
     uint32_t blockMask_ = 0;   //!< blockBytes - 1
-    uint64_t useClock_ = 0;
-    std::vector<Frame> frames_;  //!< numSets x assoc
+    std::vector<Frame> frames_;  //!< one per set
     CacheStats stats_;
 };
 

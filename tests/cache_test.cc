@@ -2,7 +2,7 @@
  * @file
  * Cache-model tests against hand-traced reference behaviour:
  * sub-block (sector) semantics, wrap-around prefetch, write-allocate
- * write-back policy, LRU replacement, and traffic accounting.
+ * write-back policy, direct-mapped conflicts, and traffic accounting.
  */
 
 #include <gtest/gtest.h>
@@ -24,7 +24,6 @@ smallConfig()
     c.sizeBytes = 256;
     c.blockBytes = 32;
     c.subBlockBytes = 8;
-    c.assoc = 1;
     return c;
 }
 
@@ -83,33 +82,6 @@ TEST(Cache, DirectMappedConflict)
     EXPECT_EQ(c.stats().readMisses, 3u);
 }
 
-TEST(Cache, TwoWayLruAvoidsConflict)
-{
-    CacheConfig cfg = smallConfig();
-    cfg.assoc = 2;
-    Cache c(cfg);
-    EXPECT_FALSE(c.read(0x000, 4));
-    EXPECT_FALSE(c.read(0x100, 4));  // other way
-    EXPECT_TRUE(c.read(0x000, 4));   // both resident
-    EXPECT_TRUE(c.read(0x100, 4));
-    EXPECT_FALSE(c.read(0x200, 4));  // evicts LRU = 0x000
-    EXPECT_FALSE(c.read(0x000, 4));  // evicts LRU = 0x100
-    EXPECT_FALSE(c.read(0x100, 4));
-}
-
-TEST(Cache, LruVictimSelection)
-{
-    CacheConfig cfg = smallConfig();
-    cfg.assoc = 2;
-    Cache c(cfg);
-    c.read(0x000, 4);
-    c.read(0x100, 4);
-    c.read(0x000, 4);   // 0x100 is now LRU
-    c.read(0x200, 4);   // evicts 0x100
-    EXPECT_TRUE(c.read(0x000, 4));
-    EXPECT_FALSE(c.read(0x100, 4));
-}
-
 TEST(Cache, DirtyEvictionWritesBack)
 {
     Cache c(smallConfig());
@@ -146,42 +118,6 @@ TEST(Cache, FlushWritesBackDirty)
     EXPECT_FALSE(c.read(0x100, 4));     // invalidated
 }
 
-TEST(Cache, WriteThroughCountsWordTraffic)
-{
-    CacheConfig cfg = smallConfig();
-    cfg.writeBack = false;
-    Cache c(cfg);
-    c.read(0x100, 4);    // fill block
-    c.write(0x100, 4);   // hit: 1 word through
-    c.write(0x104, 4);   // hit: 1 word through
-    EXPECT_EQ(c.stats().wordsOut, 2u);
-    c.flush();
-    EXPECT_EQ(c.stats().wordsOut, 2u);  // nothing dirty
-}
-
-TEST(Cache, NoWriteAllocate)
-{
-    CacheConfig cfg = smallConfig();
-    cfg.writeAllocate = false;
-    cfg.writeBack = false;
-    Cache c(cfg);
-    EXPECT_FALSE(c.write(0x100, 4));
-    // Still not resident.
-    EXPECT_FALSE(c.read(0x100, 4));
-    EXPECT_EQ(c.stats().wordsOut, 1u);
-    EXPECT_EQ(c.stats().wordsIn, 8u);  // only the read miss filled
-}
-
-TEST(Cache, NoPrefetchMode)
-{
-    CacheConfig cfg = smallConfig();
-    cfg.prefetchWrapAround = false;
-    Cache c(cfg);
-    EXPECT_FALSE(c.read(0x100, 4));
-    EXPECT_FALSE(c.read(0x108, 4));  // not prefetched
-    EXPECT_EQ(c.stats().wordsIn, 4u);
-}
-
 TEST(Cache, GeometryValidation)
 {
     CacheConfig bad = smallConfig();
@@ -196,6 +132,28 @@ TEST(Cache, GeometryValidation)
     bad = smallConfig();
     bad.subBlockBytes = 64;  // bigger than block
     EXPECT_THROW(Cache{bad}, FatalError);
+    bad = smallConfig();
+    bad.blockBytes = 256;
+    bad.subBlockBytes = 4;  // 64 sub-blocks: the most a frame holds
+    EXPECT_NO_THROW(Cache{bad});
+    bad.blockBytes = 512;
+    bad.sizeBytes = 1024;  // 128 sub-blocks
+    EXPECT_THROW(Cache{bad}, FatalError);
+}
+
+TEST(Cache, SixtyFourSubBlocksPrefetchTheWholeBlock)
+{
+    CacheConfig cfg;
+    cfg.sizeBytes = 1024;
+    cfg.blockBytes = 256;
+    cfg.subBlockBytes = 4;
+    Cache c(cfg);
+    EXPECT_FALSE(c.write(0x1fc, 4));  // the last sub-block, dirty
+    EXPECT_FALSE(c.read(0x100, 4));   // prefetches the other 63
+    EXPECT_TRUE(c.read(0x1f8, 4));
+    EXPECT_EQ(c.stats().wordsIn, 64u);
+    c.flush();
+    EXPECT_EQ(c.stats().wordsOut, 1u);
 }
 
 TEST(Cache, AccessValidation)
@@ -233,8 +191,8 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{32, 8}, std::tuple{32, 32},
                       std::tuple{64, 8}, std::tuple{64, 64}));
 
-/** Bigger caches never miss more on a loop trace (LRU inclusion holds
- *  per associativity when sets nest; checked for a simple loop). */
+/** Bigger caches never miss more on a loop trace (direct-mapped
+ *  inclusion holds when sets nest; checked for a simple loop). */
 TEST(Cache, MissRateMonotoneInSizeForLoopTrace)
 {
     uint64_t prevMisses = ~0ull;

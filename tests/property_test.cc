@@ -202,7 +202,6 @@ TEST_P(CacheSweep, AccountingInvariants)
     cfg.sizeBytes = 1u << g.range(10, 14);
     cfg.blockBytes = 1u << g.range(3, 6);
     cfg.subBlockBytes = std::min(cfg.blockBytes, 8u);
-    cfg.assoc = 1u << g.range(0, 2);
     mem::Cache cache(cfg);
 
     for (int i = 0; i < 20000; ++i) {

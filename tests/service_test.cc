@@ -74,8 +74,8 @@ struct TempDir
     }
 };
 
-/** A small matrix exercising every probe kind (and both shard-worthy
- *  and single-job build nodes). */
+/** A small matrix exercising every probe kind (and both multi-job and
+ *  single-job build nodes). */
 std::vector<sweep::JobSpec>
 miniMatrix()
 {
@@ -89,10 +89,7 @@ miniMatrix()
         jobs.push_back(sweep::JobSpec::imm(
             w, mc::CompileOptions::dlxe(16, false)));
     }
-    mem::CacheConfig cfg;
-    cfg.sizeBytes = 1024;
-    cfg.blockBytes = 16;
-    cfg.subBlockBytes = 8;
+    const mem::CacheConfig cfg = sweep::paperCacheConfig(1024, 16);
     jobs.push_back(sweep::JobSpec::cache("towers", d16, cfg, cfg));
     return jobs;
 }
@@ -104,14 +101,13 @@ struct ServerFixture
     std::unique_ptr<service::SweepServer> server;
     std::thread thread;
 
-    explicit ServerFixture(int shards = 3, bool withStore = true)
+    explicit ServerFixture(bool withStore = true)
     {
         service::ServerConfig cfg;
         cfg.socketPath = dir.path + "/d16.sock";
         if (withStore)
             cfg.storeDir = dir.path + "/store";
         cfg.jobs = 2;
-        cfg.shards = shards;
         server = std::make_unique<service::SweepServer>(cfg);
         thread = std::thread([this] { server->serve(); });
     }
@@ -154,6 +150,27 @@ TEST(Protocol, MalformedSpecsAreFatal)
     j["variant"] = Json("D16");
     j["probe"] = Json("warp-core");
     EXPECT_THROW(sweep::specFromJson(j), FatalError);
+
+    // The model implements only the paper's cache policy; any other
+    // policy member is rejected, not silently simulated as the paper's.
+    const mem::CacheConfig cfg = sweep::paperCacheConfig(4096, 32);
+    const Json good = sweep::specJson(
+        sweep::JobSpec::cache("towers", mc::CompileOptions::d16(), cfg, cfg));
+    EXPECT_NO_THROW(sweep::specFromJson(good));
+    const std::pair<const char *, Json> policies[] = {
+        {"assoc", Json(2)},
+        {"writeBack", Json(false)},
+        {"prefetchWrapAround", Json(false)},
+        {"writeAllocate", Json(false)},
+    };
+    for (const auto &[name, value] : policies) {
+        for (const char *side : {"icache", "dcache"}) {
+            Json bad = good;
+            bad[side][name] = value;
+            EXPECT_THROW(sweep::specFromJson(bad), FatalError)
+                << side << "." << name;
+        }
+    }
 }
 
 TEST(Service, ServedSweepMatchesLocalBytes)
@@ -176,8 +193,8 @@ TEST(Service, ServedSweepMatchesLocalBytes)
     EXPECT_EQ(sweep::sweepJson(served, nullptr).dump(), expected);
     EXPECT_GT(timing1.find("executedRuns")->asInt(), 0);
 
-    // Second request: everything from the server's memory cache — no
-    // lane ran, and the bytes still match.
+    // Second request: everything from the server's memory cache —
+    // nothing ran, and the bytes still match.
     sweep::ResultStore again;
     const Json timing2 = client.sweep(matrix, again);
     EXPECT_EQ(sweep::sweepJson(again, nullptr).dump(), expected);
@@ -185,6 +202,7 @@ TEST(Service, ServedSweepMatchesLocalBytes)
     EXPECT_EQ(timing2.find("executedBuilds")->asInt(), 0);
 
     const Json stats = client.stats();
+    EXPECT_EQ(stats.find("jobs")->asInt(), 2);
     EXPECT_EQ(stats.find("sweepRequests")->asInt(), 2);
     EXPECT_EQ(stats.find("jobsRequested")->asInt(),
               static_cast<int64_t>(2 * matrix.size()));
@@ -212,7 +230,6 @@ TEST(Service, RestartedServerWarmsFromSharedStore)
         cfg.socketPath = dir.path + "/a.sock";
         cfg.storeDir = storeDir;
         cfg.jobs = 2;
-        cfg.shards = 2;
         service::SweepServer server(cfg);
         std::thread t([&server] { server.serve(); });
         service::SweepClient client(cfg.socketPath);
@@ -229,7 +246,6 @@ TEST(Service, RestartedServerWarmsFromSharedStore)
     cfg.socketPath = dir.path + "/b.sock";
     cfg.storeDir = storeDir;
     cfg.jobs = 2;
-    cfg.shards = 2;
     service::SweepServer server(cfg);
     std::thread t([&server] { server.serve(); });
     service::SweepClient client(cfg.socketPath);
@@ -246,7 +262,7 @@ TEST(Service, RestartedServerWarmsFromSharedStore)
 
 TEST(Service, ServerReportsSweepErrorsInBand)
 {
-    ServerFixture fx(1, false);
+    ServerFixture fx(false);
     service::SweepClient client(fx.socket());
 
     // An unknown workload parses as a spec but fails in the engine;
@@ -268,7 +284,7 @@ TEST(Service, ServerReportsSweepErrorsInBand)
 
 TEST(Service, UnknownCommandAndProtocolAreRejected)
 {
-    ServerFixture fx(1, false);
+    ServerFixture fx(false);
 
     // The client only emits valid requests, so poke the socket with
     // raw frames.

@@ -321,17 +321,15 @@ TEST(KeySchema, ProbeConfigAffectsKeyButNotBuildKey)
     // The base job's content key IS the build key.
     EXPECT_EQ(sweep::jobContentKey(base), sweep::buildContentKey(base));
 
-    // Cache policy flags are part of the key (unlike the display key).
-    mem::CacheConfig a;
-    a.sizeBytes = 1024;
-    a.blockBytes = 16;
-    a.subBlockBytes = 8;
+    // Cache geometry is part of the key; cache jobs share the base
+    // job's build.
+    const mem::CacheConfig a = sweep::paperCacheConfig(1024, 16);
     mem::CacheConfig b = a;
-    b.writeAllocate = !b.writeAllocate;
-    EXPECT_NE(sweep::jobContentKey(
-                  sweep::JobSpec::cache("towers", d16, a, a)),
-              sweep::jobContentKey(
-                  sweep::JobSpec::cache("towers", d16, b, b)));
+    b.subBlockBytes = 4;
+    const sweep::JobSpec ca = sweep::JobSpec::cache("towers", d16, a, a);
+    const sweep::JobSpec cb = sweep::JobSpec::cache("towers", d16, b, b);
+    EXPECT_NE(sweep::jobContentKey(ca), sweep::jobContentKey(cb));
+    EXPECT_EQ(sweep::buildContentKey(ca), sweep::buildContentKey(base));
 }
 
 TEST(KeySchema, UarchAxesNeverAliasKeys)
@@ -518,6 +516,34 @@ TEST(Codecs, MutatedArtifactsFailCleanlyOrRoundTrip)
             return sweep::resultFromBytes(b);
         },
         [](const sweep::JobResult &r) { return sweep::resultBytes(r); });
+}
+
+TEST(Codecs, NonPaperCachePolicyRowIsFatal)
+{
+    // A stored row naming any cache policy but the paper's is refused
+    // cleanly: the model cannot reproduce it.
+    sweep::JobResult row;
+    row.probe = sweep::ProbeKind::CacheSim;
+    const Json good = sweep::resultJson(row);
+    const std::string text = good.dump();
+    EXPECT_NO_THROW(sweep::resultFromBytes({text.begin(), text.end()}));
+    const std::pair<const char *, Json> policies[] = {
+        {"assoc", Json(2)},
+        {"writeBack", Json(false)},
+        {"prefetchWrapAround", Json(false)},
+        {"writeAllocate", Json(false)},
+    };
+    for (const auto &[name, value] : policies) {
+        for (const char *side : {"icacheCfg", "dcacheCfg"}) {
+            Json bad = good;
+            bad[side][name] = value;
+            const std::string badText = bad.dump();
+            EXPECT_THROW(sweep::resultFromBytes(
+                             {badText.begin(), badText.end()}),
+                         FatalError)
+                << side << "." << name;
+        }
+    }
 }
 
 TEST(Codecs, BlockTableRoundTrip)

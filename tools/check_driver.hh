@@ -54,20 +54,21 @@ struct UnitArgs
     int optLevel = 2;  //!< --opt
     bool smoke = false;
 
-    /** The variants these flags select: with --smoke the five paper
-     *  variants at their own settings (the base slice of
-     *  sweep::smokeMatrix()), else D16 and/or DLXe at --opt. */
+    /** The variants these flags select: the five paper variants with
+     *  --smoke (the base slice of sweep::smokeMatrix(), all at O2),
+     *  else D16 and DLXe; those of the --isa machines, at --opt. */
     std::vector<mc::CompileOptions>
     variants() const
     {
-        std::vector<mc::CompileOptions> out;
+        std::vector<mc::CompileOptions> base;
         if (smoke) {
             for (auto &[label, opts] : core::sweep::paperVariants())
-                out.push_back(std::move(opts));
-            return out;
+                base.push_back(std::move(opts));
+        } else {
+            base = {mc::CompileOptions::d16(), mc::CompileOptions::dlxe()};
         }
-        for (mc::CompileOptions opts :
-             {mc::CompileOptions::d16(), mc::CompileOptions::dlxe()}) {
+        std::vector<mc::CompileOptions> out;
+        for (mc::CompileOptions &opts : base) {
             if (opts.isa == isa::IsaKind::D16 ? !d16 : !dlxe)
                 continue;
             opts.optLevel = optLevel;
