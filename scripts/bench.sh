@@ -20,10 +20,10 @@
 # "sweepUarch" is the fixed microarchitectural matrix (forwarding,
 # branch prediction, pipeline depth), whose replay accounting times
 # predictor replay from shared traces.
-# "sweepStoreCold" / "sweepStoreWarm" / "sweepServed" time the same
-# matrix against a fresh artifact store: cold fills it, warm must
-# execute zero builds and zero runs (enforced with --assert-warm), and
-# served replays it through d16sweepd over a Unix socket;
+# "sweepStoreCold" / "sweepStoreWarm" time the same matrix against a
+# fresh artifact store: cold fills it, and warm must execute zero
+# builds and zero runs (enforced with --assert-warm), so its
+# settleSeconds is the time to load every stored row;
 # sweep.wallSeconds / sweepStoreWarm.wallSeconds is the measured
 # warm-store speedup. Entries in this format are appended to the
 # committed BENCH_sweep.json history. Requires jq.
@@ -53,7 +53,7 @@ SMOKE_FLAG=""
 
 echo "== build =="
 cmake -B build -S . >/dev/null
-cmake --build build -j "$JOBS" --target d16sweep d16sweepd bench_micro
+cmake --build build -j "$JOBS" --target d16sweep bench_micro
 
 echo "== d16sweep: $MATRIX matrix, replay on, $JOBS threads =="
 # shellcheck disable=SC2086  # SMOKE_FLAG is intentionally word-split
@@ -91,20 +91,6 @@ echo "== d16sweep: $MATRIX matrix, artifact store warm (0 builds, 0 runs) =="
     --store build/bench-store --assert-warm \
     --json build/bench_storewarm.json
 
-echo "== d16sweepd: $MATRIX matrix served over the socket =="
-rm -f build/bench.sock
-./build/tools/d16sweepd --socket build/bench.sock \
-    --store build/bench-store &
-SWEEPD_PID=$!
-trap 'kill "$SWEEPD_PID" 2>/dev/null || true' EXIT
-sleep 1
-# shellcheck disable=SC2086
-./build/tools/d16sweep $SMOKE_FLAG --connect build/bench.sock \
-    --json build/bench_served.json
-./build/tools/d16sweep --connect build/bench.sock --shutdown
-wait "$SWEEPD_PID"
-trap - EXIT
-
 echo "== bench_micro =="
 ./build/bench/bench_micro --benchmark_format=console \
     --benchmark_out_format=json --benchmark_out=build/bench_micro.json
@@ -119,7 +105,6 @@ jq -n \
     --slurpfile uarch build/bench_uarch.json \
     --slurpfile storecold build/bench_storecold.json \
     --slurpfile storewarm build/bench_storewarm.json \
-    --slurpfile served build/bench_served.json \
     --slurpfile micro build/bench_micro.json \
     '{
         "label": $lbl,
@@ -131,7 +116,6 @@ jq -n \
         "sweepUarch": $uarch[0].timing,
         "sweepStoreCold": $storecold[0].timing,
         "sweepStoreWarm": $storewarm[0].timing,
-        "sweepServed": $served[0].timing,
         "warmSpeedup": (if $storewarm[0].timing.wallSeconds > 0
                         then ($replay[0].timing.wallSeconds /
                               $storewarm[0].timing.wallSeconds)
@@ -153,4 +137,4 @@ jq -n \
 
 echo "bench.sh: wrote $OUT"
 jq -r '"bench.sh: \(.label): wall \(.sweep.wallSeconds | . * 100 | round / 100)s with replay (build \(.sweep.buildSeconds | . * 100 | round / 100)s + simulate \(.sweep.simulateSeconds | . * 100 | round / 100)s + replay \(.sweep.replaySeconds | . * 100 | round / 100)s), \(.sweepNoReplay.wallSeconds | . * 100 | round / 100)s without, speedup \(.replaySpeedup * 100 | round / 100)x, \(.sweep.simMips | . * 10 | round / 10) sim MIPS (block engine \(.blockSpeedup * 100 | round / 100)x over step)"' "$OUT"
-jq -r '"bench.sh: store: cold \(.sweepStoreCold.wallSeconds | . * 100 | round / 100)s, warm \(.sweepStoreWarm.wallSeconds | . * 1000 | round / 1000)s (\(.warmSpeedup | round)x vs storeless), served \(.sweepServed.wallSeconds | . * 1000 | round / 1000)s"' "$OUT"
+jq -r '"bench.sh: store: cold \(.sweepStoreCold.wallSeconds | . * 100 | round / 100)s, warm \(.sweepStoreWarm.wallSeconds | . * 1000 | round / 1000)s (settle \(.sweepStoreWarm.settleSeconds | . * 1000 | round / 1000)s, \(.warmSpeedup | round)x vs storeless)"' "$OUT"

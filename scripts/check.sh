@@ -86,7 +86,7 @@ echo "== d16sweep: incremental-golden gate (store cold -> warm) =="
 # 0 captures — enforced by --assert-warm). All three must be
 # byte-identical; the cold and warm legs must also match the golden.
 rm -rf build/check-store
-./build/tools/d16sweep --smoke --jobs "$JOBS" --no-timing --no-store \
+./build/tools/d16sweep --smoke --jobs "$JOBS" --no-timing \
     --json build/sweep_storeless.json
 ./build/tools/d16sweep --smoke --jobs "$JOBS" --no-timing \
     --store build/check-store --json build/sweep_storecold.json \
@@ -104,25 +104,6 @@ echo "== d16sweep: store gc keeps the live matrix warm =="
     --store-stats > build/store_stats.json
 ./build/tools/d16sweep --smoke --jobs "$JOBS" --no-timing \
     --store build/check-store --assert-warm --json /dev/null
-
-echo "== d16sweepd: served sweep is byte-identical =="
-rm -f build/check.sock
-./build/tools/d16sweepd --socket build/check.sock \
-    --store build/check-store --jobs 4 &
-SWEEPD_PID=$!
-trap 'kill "$SWEEPD_PID" 2>/dev/null || true' EXIT
-sleep 1
-./build/tools/d16sweep --smoke --no-timing --connect build/check.sock \
-    --json build/sweep_served.json
-cmp build/sweep_storeless.json build/sweep_served.json
-# Second request streams from the server's memory cache.
-./build/tools/d16sweep --smoke --no-timing --connect build/check.sock \
-    --json build/sweep_served2.json
-cmp build/sweep_storeless.json build/sweep_served2.json
-./build/tools/d16sweep --connect build/check.sock --shutdown
-wait "$SWEEPD_PID"
-trap - EXIT
-echo "   served bytes identical (cold and memory-cached)"
 
 echo "== d16tv: translation validation, full workload x variant x opt matrix =="
 ./build/tools/d16tv --jobs "$JOBS" > /dev/null
@@ -147,11 +128,11 @@ if [ "${SKIP_SANITIZE:-0}" != "1" ]; then
     ./build-asan/tools/d16fuzz --corpus tests/corpus --seeds 50 \
         --jobs "$JOBS"
 
-    # The threaded paths (the sweep engine's pool, trace replay, and
-    # the parallelFor loop every check tool and d16fuzz run on) get a
-    # dedicated TSan build: ASan and TSan can't share a binary, and
-    # the single-threaded tier-1 tests would not exercise the races
-    # TSan exists to catch.
+    # The threaded paths (the sweep engine's pool and store settle,
+    # trace replay, and the parallelFor loop every check tool and
+    # d16fuzz run on) get a dedicated TSan build: ASan and TSan can't
+    # share a binary, and the single-threaded tier-1 tests would not
+    # exercise the races TSan exists to catch.
     echo "== sanitizers: TSan build =="
     cmake -B build-tsan -S . -DD16SIM_SANITIZE=thread >/dev/null
     cmake --build build-tsan -j "$JOBS"
@@ -175,6 +156,18 @@ if [ "${SKIP_SANITIZE:-0}" != "1" ]; then
 
     echo "== sanitizers: TSan d16lint --verify-each --cfg =="
     ./build-tsan/tools/d16lint --verify-each --cfg > /dev/null
+
+    # A warm sweep settles every row from the store on 8 workers:
+    # parallel loads, hash checks and ResultStore puts under TSan. The
+    # TSan build cold-fills its own store first.
+    echo "== sanitizers: TSan warm-store settle, 8 workers =="
+    rm -rf build-tsan/store
+    ./build-tsan/tools/d16sweep --smoke --jobs 8 --no-timing \
+        --store build-tsan/store --json build-tsan/sweep_storecold.json
+    ./build-tsan/tools/d16sweep --smoke --jobs 8 --no-timing \
+        --store build-tsan/store --assert-warm \
+        --json build-tsan/sweep_storewarm.json
+    cmp build-tsan/sweep_storecold.json build-tsan/sweep_storewarm.json
 
     # Two engines sharing one artifact store directory, racing under
     # TSan (file locks, atomic puts, shared counters).

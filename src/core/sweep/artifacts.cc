@@ -223,54 +223,6 @@ buildContentKey(const JobSpec &spec)
 }
 
 Json
-specJson(const JobSpec &spec)
-{
-    Json j = Json::object();
-    j["workload"] = Json(spec.workload);
-    j["variant"] = Json(variantKey(spec.opts));
-    if (!spec.uarch.isDefault())
-        j["uarch"] = Json(spec.uarch.key());
-    j["probe"] = Json(probeName(spec.probe));
-    switch (spec.probe) {
-      case ProbeKind::None:
-      case ProbeKind::ImmClass:
-        break;
-      case ProbeKind::FetchBuffer:
-        j["busBytes"] = Json(spec.busBytes);
-        break;
-      case ProbeKind::CacheSim:
-        j["icache"] = cacheConfigJson(spec.icache);
-        j["dcache"] = cacheConfigJson(spec.dcache);
-        break;
-    }
-    return j;
-}
-
-JobSpec
-specFromJson(const Json &j)
-{
-    JobSpec spec;
-    spec.workload = stringMember(j, "workload");
-    spec.opts = parseVariant(stringMember(j, "variant"));
-    if (j.find("uarch"))
-        spec.uarch = parseUarch(stringMember(j, "uarch"));
-    spec.probe = probeFromName(stringMember(j, "probe"));
-    switch (spec.probe) {
-      case ProbeKind::None:
-      case ProbeKind::ImmClass:
-        break;
-      case ProbeKind::FetchBuffer:
-        spec.busBytes = static_cast<uint32_t>(u64Member(j, "busBytes"));
-        break;
-      case ProbeKind::CacheSim:
-        spec.icache = cacheConfigFromJson(member(j, "icache"));
-        spec.dcache = cacheConfigFromJson(member(j, "dcache"));
-        break;
-    }
-    return spec;
-}
-
-Json
 resultJson(const JobResult &result)
 {
     Json j = Json::object();

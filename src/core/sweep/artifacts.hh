@@ -32,10 +32,10 @@
  * fingerprint change fails loudly with an --update-golden escape
  * hatch.
  *
- * Also here: lossless JSON round-trips for JobSpec (the d16sweepd
- * wire format) and JobResult (the store's result payload — the full
- * measurement including program output, not just the canonical
- * emission subset), and byte codecs for the per-build artifacts.
+ * Also here: the lossless JSON round-trip for JobResult (the store's
+ * result payload — the full measurement including program output,
+ * not just the canonical emission subset), and byte codecs for the
+ * per-build artifacts.
  */
 
 #ifndef D16SIM_CORE_SWEEP_ARTIFACTS_HH
@@ -66,17 +66,6 @@ std::string jobContentKey(const JobSpec &spec);
 /** Content key of the job's build node — the store key of its image,
  *  trace, and block-table artifacts. */
 std::string buildContentKey(const JobSpec &spec);
-
-// ----- JobSpec wire format ---------------------------------------------
-
-/** Lossless JSON form: workload, variant key, probe kind and its
- *  parameters (full cache geometry, plus the constant policy members
- *  of the paper's one cache policy). */
-Json specJson(const JobSpec &spec);
-
-/** Parse specJson() output; FatalError on malformed input, including
- *  a cache policy other than the paper's. */
-JobSpec specFromJson(const Json &j);
 
 // ----- JobResult store payload -----------------------------------------
 

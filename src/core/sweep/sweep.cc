@@ -15,6 +15,7 @@
 #include "core/sweep/artifacts.hh"
 #include "core/workloads.hh"
 #include "support/error.hh"
+#include "support/parallel.hh"
 #include "support/strings.hh"
 
 namespace d16sim::core::sweep
@@ -232,6 +233,7 @@ SweepTiming::json() const
     j["buildSeconds"] = Json(buildSeconds);
     j["simulateSeconds"] = Json(simulateSeconds);
     j["replaySeconds"] = Json(replaySeconds);
+    j["settleSeconds"] = Json(settleSeconds);
     j["busySeconds"] = Json(busySeconds());
     j["speedup"] = Json(speedup());
     j["simMips"] = Json(simMips());
@@ -257,16 +259,13 @@ SweepEngine::add(std::vector<JobSpec> specs)
         pending_.push_back(std::move(s));
 }
 
-const JobResult &
+void
 SweepEngine::commit(const std::string &key, const JobSpec &spec,
                     JobResult result)
 {
     const JobResult &stored = store_.put(key, std::move(result));
     if (artifacts_)
         saveResult(*artifacts_, spec, stored);
-    if (onResult_)
-        onResult_(key, stored);
-    return stored;
 }
 
 void
@@ -289,23 +288,33 @@ SweepEngine::run()
 
     // With a persistent store attached, settle every job it already
     // holds before constructing the build graph: a fully warm sweep
-    // compiles and simulates nothing. Loaded rows are full-fidelity
+    // compiles and simulates nothing. Rows load on the engine's
+    // threads (loadResult and ResultStore::put are thread-safe); the
+    // counters and the erase stay here. Loaded rows are full-fidelity
     // (see artifacts.hh), so they are not written back.
     if (artifacts_) {
-        for (auto it = unique.begin(); it != unique.end();) {
+        const auto settleStart = Clock::now();
+        std::vector<std::map<std::string, JobSpec>::iterator> jobs;
+        jobs.reserve(unique.size());
+        for (auto it = unique.begin(); it != unique.end(); ++it)
+            jobs.push_back(it);
+        std::vector<char> settled(jobs.size(), 0);
+        parallelFor(jobs.size(), threads_, [&](size_t i) {
             JobResult loaded;
-            if (loadResult(*artifacts_, it->second, &loaded)) {
-                const JobResult &stored =
-                    store_.put(it->first, std::move(loaded));
-                if (onResult_)
-                    onResult_(it->first, stored);
+            if (loadResult(*artifacts_, jobs[i]->second, &loaded)) {
+                store_.put(jobs[i]->first, std::move(loaded));
+                settled[i] = 1;
+            }
+        });
+        for (size_t i = 0; i < jobs.size(); ++i) {
+            if (settled[i]) {
                 ++timing_.storeResultHits;
-                it = unique.erase(it);
+                unique.erase(jobs[i]);
             } else {
                 ++timing_.storeMisses;
-                ++it;
             }
         }
+        timing_.settleSeconds += secondsSince(settleStart);
     }
 
     // Group runs under their build node.

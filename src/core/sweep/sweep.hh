@@ -26,7 +26,6 @@
 #ifndef D16SIM_CORE_SWEEP_SWEEP_HH
 #define D16SIM_CORE_SWEEP_SWEEP_HH
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -76,6 +75,7 @@ struct SweepTiming
     double buildSeconds = 0; //!< compile+assemble+link, per build node
     double simulateSeconds = 0;  //!< direct sims + trace captures
     double replaySeconds = 0;    //!< trace replays
+    double settleSeconds = 0;    //!< stored-row loads (wall; not busy)
     /** CPU work executed / wall time: the observed parallel speedup
      *  (~= min(threads, width of the job graph) when runs dominate). */
     double
@@ -155,32 +155,20 @@ class SweepEngine
     }
     store::ArtifactStore *artifacts() const { return artifacts_; }
 
-    /**
-     * Called once per job settled by run() — store hit, simulation, or
-     * replay — with the canonical job key and the stored result. Fires
-     * on worker threads (the callback must be thread-safe) as results
-     * land, so a server can stream rows before the sweep drains. Jobs
-     * skipped as cachedRuns (already in the ResultStore) do not fire.
-     */
-    using ResultCallback =
-        std::function<void(const std::string &, const JobResult &)>;
-    void setResultCallback(ResultCallback cb) { onResult_ = std::move(cb); }
-
     /** Execute everything added since the last run(); blocks. */
     void run();
 
     const SweepTiming &timing() const { return timing_; }
 
   private:
-    const JobResult &commit(const std::string &key, const JobSpec &spec,
-                            JobResult result);
+    void commit(const std::string &key, const JobSpec &spec,
+                JobResult result);
 
     ResultStore &store_;
     int threads_;
     bool replay_ = true;
     bool blockEngine_ = true;
     store::ArtifactStore *artifacts_ = nullptr;
-    ResultCallback onResult_;
     std::vector<JobSpec> pending_;
     SweepTiming timing_;
 };

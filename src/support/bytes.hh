@@ -1,11 +1,11 @@
 /**
  * @file
  * Little-endian byte codec shared by every binary format: D16T traces,
- * D16I images, D16M block tables, D16S store entry headers, and the
- * d16sweepd frame length. ByteReader bounds-checks every read (short
- * input is a FatalError naming the format), and count() rejects an
- * entry count that cannot fit in the remaining bytes, with no size
- * arithmetic that could wrap, before anything is reserved for it.
+ * D16I images, D16M block tables and D16S store entry headers.
+ * ByteReader bounds-checks every read (short input is a FatalError
+ * naming the format), and count() rejects an entry count that cannot
+ * fit in the remaining bytes, with no size arithmetic that could wrap,
+ * before anything is reserved for it.
  * Header-only so that the trace codec's per-record calls inline.
  */
 

@@ -1,5 +1,8 @@
 #include "support/cli.hh"
 
+#include <cctype>
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 
@@ -42,7 +45,16 @@ void
 Cli::intValue(const std::string &name, int *target)
 {
     value(name, [target](const std::string &v) {
-        *target = std::atoi(v.c_str());
+        // The whole string must be one base-10 int: "2OO", "abc", ""
+        // and out-of-range values are bad usage.
+        if (v.empty() || std::isspace(static_cast<unsigned char>(v[0])))
+            return false;
+        char *end = nullptr;
+        errno = 0;
+        const long n = std::strtol(v.c_str(), &end, 10);
+        if (errno || *end != '\0' || n < INT_MIN || n > INT_MAX)
+            return false;
+        *target = static_cast<int>(n);
         return true;
     });
 }

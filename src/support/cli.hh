@@ -41,7 +41,8 @@ class Cli
     void value(const std::string &name,
                std::function<bool(const std::string &)> fn);
 
-    /** Register `--name N` parsing a decimal integer. */
+    /** Register `--name N` parsing a decimal integer; anything but a
+     *  whole base-10 value in int range is bad usage. */
     void intValue(const std::string &name, int *target);
 
     /** Register `--name S` storing the raw string. */

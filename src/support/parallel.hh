@@ -1,6 +1,6 @@
 /**
  * @file
- * The one parallel loop the tools, bench drivers, sweep server and tests
+ * The one parallel loop the tools, bench drivers, sweep engine and tests
  * share.
  */
 

@@ -751,17 +751,21 @@ TEST(Engine, WarmSweepExecutesNothingAndMatchesBytes)
     EXPECT_EQ(cold.storeResultHits, 0);
     EXPECT_EQ(cold.storeMisses, static_cast<int>(matrix.size()));
 
-    sweep::SweepTiming warm;
-    const Json warmDoc = sweepWithStore(matrix, &s, &warm);
-    EXPECT_EQ(warm.executedBuilds, 0);
-    EXPECT_EQ(warm.executedRuns, 0);
-    EXPECT_EQ(warm.capturedTraces, 0);
-    EXPECT_EQ(warm.storeResultHits, static_cast<int>(matrix.size()));
-
-    // The tentpole contract: storeless, cold, and warm emissions are
-    // byte-identical.
+    // The contract: storeless, cold, and warm emissions are
+    // byte-identical, whether the warm rows settle on one thread or
+    // on four.
     EXPECT_EQ(off.dump(), coldDoc.dump());
-    EXPECT_EQ(off.dump(), warmDoc.dump());
+    for (int threads : {1, 4}) {
+        sweep::SweepTiming warm;
+        const Json warmDoc = sweepWithStore(matrix, &s, &warm, threads);
+        EXPECT_EQ(warm.executedBuilds, 0) << threads;
+        EXPECT_EQ(warm.executedRuns, 0) << threads;
+        EXPECT_EQ(warm.capturedTraces, 0) << threads;
+        EXPECT_EQ(warm.storeResultHits, static_cast<int>(matrix.size()))
+            << threads;
+        EXPECT_EQ(warm.storeMisses, 0) << threads;
+        EXPECT_EQ(off.dump(), warmDoc.dump()) << threads;
+    }
 }
 
 TEST(Engine, PartialInvalidationReusesBuildArtifacts)
@@ -796,6 +800,7 @@ TEST(Engine, PartialInvalidationReusesBuildArtifacts)
     EXPECT_EQ(timing.storeTraceHits, 1);
     EXPECT_EQ(timing.storeResultHits,
               static_cast<int>(matrix.size()) - 1);
+    EXPECT_EQ(timing.storeMisses, 1);
     EXPECT_EQ(repaired.dump(), cold.dump());
 
     // The re-executed row was written back: warm again.

@@ -1,12 +1,13 @@
 /**
  * @file
  * Unit tests for the support substrate (bits, strings, table, error,
- * json, parallel).
+ * json, parallel, cli).
  */
 
 #include <gtest/gtest.h>
 
 #include "support/bits.hh"
+#include "support/cli.hh"
 #include "support/error.hh"
 #include "support/json.hh"
 #include "support/parallel.hh"
@@ -174,6 +175,39 @@ TEST(Parallel, RethrowsAfterJoining)
     EXPECT_THROW(parallelFor(5, 2,
                              [](size_t) { throw std::logic_error("x"); }),
                  std::logic_error);
+}
+
+/** Parse `--n VALUE` into an int that starts at -7. */
+cli::CliStatus
+parseIntFlag(const char *value, int *n)
+{
+    *n = -7;
+    cli::Cli parser("cli_test", "--n N");
+    parser.intValue("--n", n);
+    char prog[] = "cli_test";
+    char flag[] = "--n";
+    std::string v = value;
+    char *argv[] = {prog, flag, v.data()};
+    return parser.parse(3, argv);
+}
+
+TEST(Cli, IntValueRejectsNonNumericInput)
+{
+    int n = 0;
+    EXPECT_EQ(parseIntFlag("200", &n), cli::CliStatus::Ok);
+    EXPECT_EQ(n, 200);
+    EXPECT_EQ(parseIntFlag("-3", &n), cli::CliStatus::Ok);
+    EXPECT_EQ(n, -3);
+    EXPECT_EQ(parseIntFlag("2147483647", &n), cli::CliStatus::Ok);
+    EXPECT_EQ(n, 2147483647);
+
+    // Partial, non-decimal and out-of-range values are bad usage and
+    // leave the target alone.
+    for (const char *bad : {"2OO", "abc", "", " 12", "1.5", "0x10",
+                            "2147483648", "-99999999999"}) {
+        EXPECT_EQ(parseIntFlag(bad, &n), cli::CliStatus::Error) << bad;
+        EXPECT_EQ(n, -7) << bad;
+    }
 }
 
 TEST(Table, Renders)

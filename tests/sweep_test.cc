@@ -304,7 +304,7 @@ TEST(Sweep, CompareSweepsCatchesUarchDrift)
 
 TEST(Sweep, MutatedDocumentParsesOrFailsCleanly)
 {
-    // Json::parse reads untrusted bytes (d16sweepd frames, store rows):
+    // Json::parse reads untrusted bytes (store rows, golden files):
     // every prefix and every single-bit flip of a canonical smoke
     // document must parse or throw FatalError, never crash. One job of
     // each probe kind keeps the document, and this quadratic loop,

@@ -26,24 +26,16 @@
  *
  *   d16sweep --store DIR                   reuse + fill a content-addressed
  *                                          store: a warm sweep executes
- *                                          zero builds and zero runs
- *   d16sweep --no-store                    ignore --store (A/B leg)
+ *                                          zero builds and zero runs, and
+ *                                          loads its rows on the --jobs
+ *                                          threads ("settle" in the
+ *                                          summary)
  *   d16sweep --assert-warm                 fail unless the sweep was fully
  *                                          served from the store
  *   d16sweep --store DIR --store-stats     print entry counts, bytes, and
  *                                          this process's hit rates; no sweep
  *   d16sweep --store DIR --gc              drop entries not referenced by
  *                                          the selected matrix; no sweep
- *
- * Served mode (d16sweepd):
- *
- *   d16sweep --connect SOCK                run the matrix on a d16sweepd
- *                                          server; rows stream back and the
- *                                          emitted JSON is byte-identical
- *                                          to a local run ("timing" is the
- *                                          server's)
- *   d16sweep --connect SOCK --store-stats  print the server's stats
- *   d16sweep --connect SOCK --shutdown     stop the server
  *
  * The results section is canonical (sorted keys, counters only, no
  * timestamps): two runs over the same matrix produce byte-identical
@@ -59,7 +51,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -68,7 +59,6 @@
 #include <string>
 #include <vector>
 
-#include "core/service/client.hh"
 #include "core/store/store.hh"
 #include "core/sweep/artifacts.hh"
 #include "core/sweep/sweep.hh"
@@ -97,12 +87,9 @@ struct Args
     std::string jsonPath;                //!< empty = no JSON output
     std::string goldenPath;              //!< empty = no comparison
     std::string storeDir;                //!< empty = no artifact store
-    bool noStore = false;                //!< A/B: ignore --store
     bool storeStats = false;
     bool gc = false;
     bool assertWarm = false;
-    std::string connectPath;             //!< empty = run locally
-    bool shutdownServer = false;
 };
 
 /** Keep only jobs matching the workload/variant filters. */
@@ -146,13 +133,9 @@ main(int argc, char **argv)
                     "       [--variants D16,DLXe/32/3,...] [--json FILE|-]\n"
                     "       [--no-timing] [--no-replay] [--no-block-engine]\n"
                     "       [--golden FILE] [--list]\n"
-                    "       [--store DIR] [--no-store] [--assert-warm]\n"
-                    "       [--store-stats] [--gc]\n"
-                    "       [--connect SOCK] [--shutdown]");
-    parser.value("--jobs", [&](const std::string &v) {
-        args.jobs = std::max(1, std::atoi(v.c_str()));
-        return true;
-    });
+                    "       [--store DIR] [--assert-warm]\n"
+                    "       [--store-stats] [--gc]");
+    parser.intValue("--jobs", &args.jobs);
     parser.flag("--smoke", &args.smoke);
     parser.flag("--uarch-matrix", &args.uarchMatrix);
     parser.value("--workloads", [&](const std::string &v) {
@@ -170,12 +153,9 @@ main(int argc, char **argv)
     parser.stringValue("--golden", &args.goldenPath);
     parser.flag("--list", &args.list);
     parser.stringValue("--store", &args.storeDir);
-    parser.flag("--no-store", &args.noStore);
     parser.flag("--store-stats", &args.storeStats);
     parser.flag("--gc", &args.gc);
     parser.flag("--assert-warm", &args.assertWarm);
-    parser.stringValue("--connect", &args.connectPath);
-    parser.flag("--shutdown", &args.shutdownServer);
     switch (parser.parse(argc, argv)) {
       case cli::CliStatus::Help: return 0;
       case cli::CliStatus::Error: return 2;
@@ -183,9 +163,6 @@ main(int argc, char **argv)
     }
 
     try {
-        if (args.noStore)
-            args.storeDir.clear();
-
         std::vector<sweep::JobSpec> jobs = filtered(
             args.uarchMatrix ? sweep::uarchSmokeMatrix()
             : args.smoke     ? sweep::smokeMatrix()
@@ -197,20 +174,6 @@ main(int argc, char **argv)
                 keys.insert(sweep::jobKey(j));
             for (const std::string &k : keys)
                 std::printf("%s\n", k.c_str());
-            return 0;
-        }
-
-        // Server maintenance commands; no sweep.
-        if (!args.connectPath.empty() && args.shutdownServer) {
-            service::SweepClient(args.connectPath).shutdown();
-            std::fprintf(stderr, "d16sweep: server at %s shut down\n",
-                         args.connectPath.c_str());
-            return 0;
-        }
-        if (!args.connectPath.empty() && args.storeStats) {
-            std::cout
-                << service::SweepClient(args.connectPath).stats().dump(2)
-                << "\n";
             return 0;
         }
 
@@ -247,68 +210,50 @@ main(int argc, char **argv)
         }
 
         sweep::ResultStore store;
-        Json doc;
-        if (!args.connectPath.empty()) {
-            // Served mode: the server does every build/run; rows
-            // stream back and are re-emitted canonically, so the
-            // document is byte-identical to a local sweep. The
-            // timing section (if kept) is the server's.
-            service::SweepClient client(args.connectPath);
-            const Json timing =
-                client.sweep(jobs, store, args.replay, args.blockEngine);
-            std::fprintf(stderr,
-                         "d16sweep: %zu rows served by d16sweepd at %s\n",
-                         store.size(), args.connectPath.c_str());
-            doc = sweep::sweepJson(store, nullptr);
-            if (args.timing)
-                doc["timing"] = timing;
-        } else {
-            std::unique_ptr<store::ArtifactStore> artifacts;
-            if (!args.storeDir.empty())
-                artifacts = std::make_unique<store::ArtifactStore>(
-                    args.storeDir);
-            sweep::SweepEngine engine(store, args.jobs);
-            engine.setReplay(args.replay);
-            engine.setBlockEngine(args.blockEngine);
-            engine.setArtifacts(artifacts.get());
-            engine.add(std::move(jobs));
-            engine.run();
+        std::unique_ptr<store::ArtifactStore> artifacts;
+        if (!args.storeDir.empty())
+            artifacts = std::make_unique<store::ArtifactStore>(args.storeDir);
+        sweep::SweepEngine engine(store, std::max(1, args.jobs));
+        engine.setReplay(args.replay);
+        engine.setBlockEngine(args.blockEngine);
+        engine.setArtifacts(artifacts.get());
+        engine.add(std::move(jobs));
+        engine.run();
 
-            const sweep::SweepTiming &t = engine.timing();
+        const sweep::SweepTiming &t = engine.timing();
+        std::fprintf(
+            stderr,
+            "d16sweep: %d runs (%d builds, %d deduped, %d "
+            "replayed from %d traces) on %d threads\n"
+            "d16sweep: wall %.2fs, busy %.2fs (build %.2fs + "
+            "simulate %.2fs + replay %.2fs), speedup %.2fx\n"
+            "d16sweep: %llu instructions simulated, %.1f MIPS\n",
+            t.executedRuns, t.executedBuilds, t.dedupedRuns,
+            t.replayedRuns, t.capturedTraces, t.threads, t.wallSeconds,
+            t.busySeconds(), t.buildSeconds, t.simulateSeconds,
+            t.replaySeconds, t.speedup(),
+            static_cast<unsigned long long>(t.simulatedInstructions),
+            t.simMips());
+        if (artifacts) {
+            const store::StoreCounters c = artifacts->counters();
             std::fprintf(
                 stderr,
-                "d16sweep: %d runs (%d builds, %d deduped, %d "
-                "replayed from %d traces) on %d threads\n"
-                "d16sweep: wall %.2fs, busy %.2fs (build %.2fs + "
-                "simulate %.2fs + replay %.2fs), speedup %.2fx\n"
-                "d16sweep: %llu instructions simulated, %.1f MIPS\n",
-                t.executedRuns, t.executedBuilds, t.dedupedRuns,
-                t.replayedRuns, t.capturedTraces, t.threads,
-                t.wallSeconds, t.busySeconds(), t.buildSeconds,
-                t.simulateSeconds, t.replaySeconds, t.speedup(),
-                static_cast<unsigned long long>(t.simulatedInstructions),
-                t.simMips());
-            if (artifacts) {
-                const store::StoreCounters c = artifacts->counters();
-                std::fprintf(
-                    stderr,
-                    "d16sweep: store %s: %d result hits, %d image "
-                    "hits, %d trace hits, %d misses (%.0f%% hit rate)\n",
-                    args.storeDir.c_str(), t.storeResultHits,
-                    t.storeImageHits, t.storeTraceHits, t.storeMisses,
-                    100.0 * c.hitRate());
-            }
-            if (args.assertWarm &&
-                (t.executedBuilds || t.executedRuns || t.capturedTraces)) {
-                std::fprintf(
-                    stderr,
-                    "d16sweep: --assert-warm failed: %d builds, %d "
-                    "runs, %d captures were not served from the store\n",
-                    t.executedBuilds, t.executedRuns, t.capturedTraces);
-                return 1;
-            }
-            doc = sweep::sweepJson(store, args.timing ? &t : nullptr);
+                "d16sweep: store %s: %d result hits, %d image hits, %d "
+                "trace hits, %d misses (%.0f%% hit rate), settle %.3fs\n",
+                args.storeDir.c_str(), t.storeResultHits, t.storeImageHits,
+                t.storeTraceHits, t.storeMisses, 100.0 * c.hitRate(),
+                t.settleSeconds);
         }
+        if (args.assertWarm &&
+            (t.executedBuilds || t.executedRuns || t.capturedTraces)) {
+            std::fprintf(
+                stderr,
+                "d16sweep: --assert-warm failed: %d builds, %d runs, %d "
+                "captures were not served from the store\n",
+                t.executedBuilds, t.executedRuns, t.capturedTraces);
+            return 1;
+        }
+        const Json doc = sweep::sweepJson(store, args.timing ? &t : nullptr);
         if (!args.jsonPath.empty()) {
             if (args.jsonPath == "-") {
                 std::cout << doc.dump(2) << "\n";
